@@ -3,7 +3,8 @@
 A bi-invariant function phi on U(2) (under the embedded U(1)) descends to a
 function phi0 on the closed unit disc, and expands as
 phi0 = sum c_{l,m} (l+m+1) h_{l,m} against the zonal family of
-``special_fn``.  The coefficient is the plain inner product
+``special_fn``; truncation at degree L keeps every (l, m) with
+max(l, m) <= L.  The coefficient is the plain inner product
 c_{l,m} = <phi0, h_{l,m}> under the uniform area measure dA/pi on the disc,
 which is the pushforward of the uniform measure on the unit sphere of C^2
 under the first coordinate.  That density is not taken on faith: the
@@ -98,47 +99,12 @@ def disc_quadrature(n_radial: int, n_angular: int):
     return z.ravel(), w.ravel()
 
 
-def _sphere3_nodes(order: int):
-    """Probability quadrature on the unit sphere of C^2.
-
-    Points (sqrt(u) e^{i t1}, sqrt(1-u) e^{i t2}) with u Gauss-Legendre on
-    [0, 1] and both angles uniform; returns (n, 2) complex nodes and weights.
-    """
-    t, wt = np.polynomial.legendre.leggauss(order)
-    u = (t + 1.0) / 2.0
-    wu = wt / 2.0
-    m = 2 * order + 1
-    theta = 2.0 * np.pi * np.arange(m) / m
-    e = np.exp(1j * theta)
-    x1 = (np.sqrt(u)[:, None, None] * e[None, :, None] * np.ones(m)[None, None, :]).ravel()
-    x2 = (np.sqrt(1.0 - u)[:, None, None] * np.ones(m)[None, :, None] * e[None, None, :]).ravel()
-    w = (wu[:, None, None] * np.ones((m, m))[None, :, :] / (m * m)).ravel()
-    return np.column_stack([x1, x2]), w
-
-
-def _sphere2_nodes(order: int):
-    """Probability quadrature on the 2-sphere (Gauss-Legendre x uniform)."""
-    t, wt = np.polynomial.legendre.leggauss(order)
-    m = 2 * order + 1
-    phi = 2.0 * np.pi * np.arange(m) / m
-    st = np.sqrt(1.0 - t**2)
-    x = (st[:, None] * np.cos(phi)[None, :]).ravel()
-    y = (st[:, None] * np.sin(phi)[None, :]).ravel()
-    z = np.repeat(t[:, None], m, axis=1).ravel()
-    w = np.repeat(wt[:, None] / (2.0 * m), m, axis=1).ravel()
-    return np.column_stack([x, y, z]), w
-
-
 # ---------------------------------------------------------------------------
 # coefficient extraction
 
 
-def _u2_indices(L: int):
-    return [(l, m) for l in range(L + 1) for m in range(L + 1 - l)]
-
-
 def _u2_family_on(z: np.ndarray, L: int) -> dict:
-    """Evaluate every h_{l,m} with l+m <= L on the flat array z."""
+    """Evaluate every h_{l,m} with max(l, m) <= L on the flat array z."""
     r2 = (z * z.conj()).real
     x = np.clip(2.0 * r2 - 1.0, -1.0, 1.0)
     vals = {}
@@ -155,7 +121,7 @@ def _u2_family_on(z: np.ndarray, L: int) -> dict:
 def coefficients_u2(
     phi0, L: int = 24, n_radial: int | None = None, n_angular: int | None = None
 ) -> CoefficientSpectrum:
-    """Coefficients c_{l,m} = <phi0, h_{l,m}> for all l + m <= L.
+    """Coefficients c_{l,m} = <phi0, h_{l,m}> for all max(l, m) <= L.
 
     Parameters
     ----------
@@ -255,9 +221,18 @@ def kernel_schatten_norm(
 
     The kernel psi(x, y) = phi0(<x, y>) is sampled on a quadrature grid of
     the homogeneous space (the unit sphere of C^2 for "u2", the 2-sphere
-    for "su2"), scaled by sqrt(w_i w_j), and its singular values are summed.
-    As the order grows this converges to (sum |c|^p dim)^(1/p) over the
-    coefficients of phi0.
+    for "su2") and scaled by sqrt(w_i w_j).  As the order grows its
+    Schatten norm converges to (sum |c|^p dim)^(1/p) over the coefficients
+    of phi0.
+
+    The grid is Gauss-Legendre in one coordinate times m = 2 order + 1
+    uniform angles: (sqrt(u) e^{i t1}, sqrt(1-u) e^{i t2}) for "u2",
+    (sqrt(1-t^2) e^{i phi}, t) for "su2".  The kernel depends on the angles
+    only through their differences, so it is block-circulant, and a DFT over
+    the angle differences splits it unitarily into one block of size
+    ``order`` per torus (u2) or rotation (su2) character.  The cost is m^2
+    (u2) or m (su2) SVDs of size ``order`` in one stacked call; the dense
+    kernel of size order m^2 (or order m) is never formed.
 
     With ``check=True`` the value is recomputed at twice the order; a drift
     above 1% raises a resolution warning (warnings.warn) and the finer value
@@ -265,22 +240,32 @@ def kernel_schatten_norm(
     """
     if not np.isfinite(p) or p < 1:
         raise ValueError("p must lie in [1, inf)")
+    if pair not in ("u2", "su2"):
+        raise ValueError("pair must be 'u2' or 'su2'")
 
     def value_at(q: int) -> float:
+        t, wt = np.polynomial.legendre.leggauss(q)
+        m = 2 * q + 1
+        e = np.exp(2j * np.pi * np.arange(m) / m)
         if pair == "u2":
-            # <x_i, x_j> lies in the closed disc up to rounding, which the
-            # disc evaluators absorb.
-            nodes, w = _sphere3_nodes(q)
-            gram = nodes.conj() @ nodes.T
-        elif pair == "su2":
-            nodes, w = _sphere2_nodes(q)
-            gram = np.clip(nodes @ nodes.T, -1.0, 1.0)
+            # <x, y> for x = (sqrt(u) e^{i t1}, sqrt(1-u) e^{i t2}) and
+            # y = (sqrt(u') e^{i (t1+d1)}, sqrt(1-u') e^{i (t2+d2)}), on the
+            # (d1, d2, u, u') grid; it lies in the closed disc up to rounding,
+            # which the disc evaluators absorb.
+            u = (t + 1.0) / 2.0
+            gram = (
+                e[:, None, None, None] * np.sqrt(np.outer(u, u))
+                + e[None, :, None, None] * np.sqrt(np.outer(1.0 - u, 1.0 - u))
+            )
+            sw = np.sqrt(wt / 2.0) / m
         else:
-            raise ValueError("pair must be 'u2' or 'su2'")
-        psi = np.asarray(phi0(gram.ravel()), dtype=complex).reshape(gram.shape)
-        sw = np.sqrt(w)
-        kernel = psi * sw[:, None] * sw[None, :]
-        return schatten_norm(kernel, p)
+            # <x, y> = sqrt((1-t^2)(1-t'^2)) cos(d) + t t' on the (d, t, t') grid
+            st = np.sqrt(1.0 - t**2)
+            gram = np.clip(e.real[:, None, None] * np.outer(st, st) + np.outer(t, t), -1.0, 1.0)
+            sw = np.sqrt(wt / (2.0 * m))
+        psi = np.asarray(phi0(gram.ravel()), dtype=complex).reshape(gram.shape) * np.outer(sw, sw)
+        blocks = np.fft.fftn(psi, axes=tuple(range(psi.ndim - 2)))
+        return schatten_norm(blocks.reshape(-1, q, q), p)
 
     val = value_at(order)
     if check:

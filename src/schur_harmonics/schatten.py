@@ -98,23 +98,28 @@ class MultiplierSymbol:
         return self.values.shape[0]
 
 
-def _as_matrix(x) -> np.ndarray:
+def _as_matrix(x, stack: bool = False) -> np.ndarray:
     a = np.asarray(x, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
+    if a.ndim not in ((2, 3) if stack else (2,)) or a.shape[-1] != a.shape[-2]:
+        raise ValueError("expected a square matrix" + (" or a (k, n, n) stack" if stack else ""))
     if not np.all(np.isfinite(a.real) & np.isfinite(a.imag)):
         raise ValueError("matrix entries must be finite")
     return a
 
 
 def schatten_norm(x, p: float) -> float:
-    """Schatten p-norm via singular values; p = inf gives the operator norm."""
-    a = _as_matrix(x)
+    """Schatten p-norm via singular values; p = inf gives the operator norm.
+
+    ``x`` is a square (n, n) matrix or a (k, n, n) stack of them; a stack
+    stands for the block-diagonal operator with those blocks, whose singular
+    values are the union of the blocks' singular values.
+    """
+    a = _as_matrix(x, stack=True)
     if p < 1:
         raise ValueError("p must lie in [1, inf]")
     s = np.linalg.svd(a, compute_uv=False)
     if np.isinf(p):
-        return float(s[0]) if s.size else 0.0
+        return float(s.max()) if s.size else 0.0
     return float(np.sum(s**p) ** (1.0 / p))
 
 

@@ -55,6 +55,13 @@ def test_u2_orthogonality_validates_disc_density():
     assert np.abs(gram - target).max() <= 1e-8
 
 
+@pytest.mark.parametrize("L", range(5))
+def test_u2_index_set_is_max_degree_box(L):
+    want = {(l, m) for l in range(L + 1) for m in range(L + 1)}
+    assert set(gf.coefficients_u2(ones, L).coeffs) == want
+    assert set(gf._u2_family_on(np.zeros(1, dtype=complex), L)) == want
+
+
 def test_u2_under_resolution_error():
     with pytest.raises(gf.UnderResolvedError):
         gf.coefficients_u2(ones, 8, n_radial=4, n_angular=65)
@@ -193,6 +200,107 @@ def test_kernel_check_flag_quiet_when_resolved():
         val = gf.kernel_schatten_norm(phi, 4.0, 6, "su2", check=True)
     assert_allclose(val, gf.lp_lower_bound(
         gf.CoefficientSpectrum("su2", {2: 0.4}, 2), 4.0), rtol=1e-9)
+
+
+def _sphere3_nodes(order: int):
+    """Probability quadrature on the unit sphere of C^2: points
+    (sqrt(u) e^{i t1}, sqrt(1-u) e^{i t2}), u Gauss-Legendre on [0, 1], both
+    angles uniform on 2 order + 1 points; returns (n, 2) nodes and weights."""
+    t, wt = np.polynomial.legendre.leggauss(order)
+    u = (t + 1.0) / 2.0
+    m = 2 * order + 1
+    e = np.exp(2j * np.pi * np.arange(m) / m)
+    x1 = np.sqrt(u)[:, None, None] * e[None, :, None] * np.ones(m)[None, None, :]
+    x2 = np.sqrt(1.0 - u)[:, None, None] * np.ones(m)[None, :, None] * e[None, None, :]
+    w = np.broadcast_to((wt / 2.0)[:, None, None] / (m * m), x1.shape)
+    return np.column_stack([x1.ravel(), x2.ravel()]), w.ravel()
+
+
+def _sphere2_nodes(order: int):
+    """Probability quadrature on the 2-sphere (Gauss-Legendre x uniform)."""
+    t, wt = np.polynomial.legendre.leggauss(order)
+    m = 2 * order + 1
+    phi = 2.0 * np.pi * np.arange(m) / m
+    st = np.sqrt(1.0 - t**2)
+    x = (st[:, None] * np.cos(phi)[None, :]).ravel()
+    y = (st[:, None] * np.sin(phi)[None, :]).ravel()
+    z = np.repeat(t[:, None], m, axis=1).ravel()
+    w = np.repeat(wt[:, None] / (2.0 * m), m, axis=1).ravel()
+    return np.column_stack([x, y, z]), w
+
+
+def _dense_kernel(phi0, order: int, pair: str) -> np.ndarray:
+    """The whole weighted kernel sqrt(w_i w_j) phi0(<x_i, x_j>) on the grid."""
+    if pair == "u2":
+        nodes, w = _sphere3_nodes(order)
+        gram = nodes.conj() @ nodes.T
+    else:
+        nodes, w = _sphere2_nodes(order)
+        gram = np.clip(nodes @ nodes.T, -1.0, 1.0)
+    psi = np.asarray(phi0(gram.ravel()), dtype=complex).reshape(gram.shape)
+    sw = np.sqrt(w)
+    return psi * sw[:, None] * sw[None, :]
+
+
+def _blocked_stack(monkeypatch, phi0, order: int, pair: str) -> np.ndarray:
+    """The block stack kernel_schatten_norm hands to schatten_norm."""
+    seen = []
+
+    def capture(x, p):
+        seen.append(np.array(x))
+        return sc.schatten_norm(x, p)
+
+    monkeypatch.setattr(gf, "schatten_norm", capture)
+    gf.kernel_schatten_norm(phi0, 2.0, order, pair)
+    monkeypatch.undo()
+    (stack,) = seen
+    return stack
+
+
+@pytest.mark.parametrize(
+    "pair, order",
+    [("u2", o) for o in (2, 3, 4)] + [("su2", o) for o in range(3, 9)],
+)
+def test_blocked_kernel_matches_dense_oracle(monkeypatch, pair, order):
+    rng = np.random.default_rng(1000 + order)
+    if pair == "u2":
+        # every (l, m) with max(l, m) <= 2, so l != m terms make the kernel
+        # non-Hermitian
+        idx = [(l, m) for l in range(3) for m in range(3)]
+        deg, n_blocks = 2, (2 * order + 1) ** 2
+    else:
+        idx = list(range(5))
+        deg, n_blocks = 4, 2 * order + 1
+    coeffs = {i: complex(*rng.standard_normal(2)) for i in idx}
+    phi = gf.synthesize(gf.CoefficientSpectrum(pair, coeffs, deg))
+    dense = _dense_kernel(phi, order, pair)
+    assert np.abs(dense - dense.conj().T).max() > 1e-3 * np.abs(dense).max()
+    stack = _blocked_stack(monkeypatch, phi, order, pair)
+    assert stack.shape == (n_blocks, order, order)
+    s_dense = np.sort(np.linalg.svd(dense, compute_uv=False))
+    s_block = np.sort(np.linalg.svd(stack, compute_uv=False).ravel())
+    assert s_block.shape == s_dense.shape
+    assert np.abs(s_block - s_dense).max() <= 1e-12 * s_dense[-1]
+    for p in (1.0, 3.0):
+        assert_allclose(
+            gf.kernel_schatten_norm(phi, p, order, pair), sc.schatten_norm(dense, p), rtol=1e-12
+        )
+
+
+@pytest.mark.parametrize("pair, deg, order", [("u2", 3, 16), ("su2", 6, 40)])
+def test_kernel_high_order_matches_coefficient_sum(pair, deg, order):
+    # u2 at order 16 is a 17424-node grid: out of reach for a dense SVD.
+    rng = np.random.default_rng(order)
+    if pair == "u2":
+        idx = [(l, m) for l in range(deg + 1) for m in range(deg + 1)]
+    else:
+        idx = list(range(deg + 1))
+    spec = gf.CoefficientSpectrum(pair, {i: 0.4 * complex(*rng.standard_normal(2)) for i in idx}, deg)
+    phi = gf.synthesize(spec)
+    for p in (1.5, 3.0):
+        assert_allclose(
+            gf.kernel_schatten_norm(phi, p, order, pair), gf.lp_lower_bound(spec, p), rtol=1e-9
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,20 @@ def test_norm_rejects_bad_input():
         sc.schatten_norm(np.array([[np.nan, 0], [0, 1]]), 2.0)
     with pytest.raises(ValueError):
         sc.schatten_norm(np.eye(3), 0.5)
+    bad_stack = np.ones((2, 3, 3), dtype=complex)
+    bad_stack[1, 2, 0] = np.inf
+    for bad in (np.ones(3), np.ones((2, 2, 3, 3)), np.ones((2, 3)), np.ones((4, 2, 3)), bad_stack):
+        with pytest.raises(ValueError):
+            sc.schatten_norm(bad, 2.0)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5, np.inf])
+def test_norm_of_stack_is_norm_of_block_diagonal(p):
+    from scipy.linalg import block_diag
+
+    rng = np.random.default_rng(11)
+    stack = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+    assert_allclose(sc.schatten_norm(stack, p), sc.schatten_norm(block_diag(*stack), p), rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ def _parse_p(raw: str) -> float:
     if raw.lower() in ("inf", "infinity"):
         return math.inf
     p = float(raw)
-    if p < 1:
+    if not p >= 1:
         raise ValueError("p must lie in [1, inf]")
     return p
 

@@ -13,8 +13,6 @@ exactly max|psi_ij|.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,18 +29,7 @@ __all__ = [
     "symbol_to_json",
     "symbol_from_json",
     "estimate_report",
-    "thread_cap",
 ]
-
-
-def thread_cap() -> int:
-    """Parallelism cap, from SCHUR_HARMONICS_THREADS if set (>= 1)."""
-    raw = os.environ.get("SCHUR_HARMONICS_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = os.cpu_count() or 1
-    return max(1, cap)
 
 
 @dataclass(frozen=True)
@@ -115,7 +102,7 @@ def schatten_norm(x, p: float) -> float:
     values are the union of the blocks' singular values.
     """
     a = _as_matrix(x, stack=True)
-    if p < 1:
+    if not p >= 1:
         raise ValueError("p must lie in [1, inf]")
     s = np.linalg.svd(a, compute_uv=False)
     if np.isinf(p):
@@ -181,7 +168,10 @@ def _ascend(psi_v, p, x0, cfg: SearchConfig, rng):
     ||psi o X||_p.  By Hoelder this never decreases the objective, and it is
     exactly a projected gradient step with optimally rescaled singular
     values.  A plain additive gradient step is used as fallback whenever the
-    rescaled step stalls.
+    rescaled step stalls.  The maximizer is the S^q dual witness of the
+    gradient, which has unit S^p norm by construction, and the witness Y of an
+    accepted point is carried into the next iteration, so an accepted power
+    step costs two SVDs.
     """
     q = _dual_exponent(p)
     x = np.array(x0, dtype=complex)
@@ -189,30 +179,25 @@ def _ascend(psi_v, p, x0, cfg: SearchConfig, rng):
     if nx == 0.0:
         return 0.0, x, 0, True
     x /= nx
-    val, _ = _norm_and_gradient(psi_v * x, p, rng)
+    val, y = _norm_and_gradient(psi_v * x, p, rng)
     best_val, best_x = val, x.copy()
     history = [val]
     step = cfg.step0
     for it in range(1, cfg.max_iter + 1):
-        _, y = _norm_and_gradient(psi_v * x, p, rng)
         grad = psi_v.conj() * y
-        _, x_pow = _norm_and_gradient(grad, q, rng)
-        npow = schatten_norm(x_pow, p)
-        if npow == 0.0:
+        gn = np.linalg.norm(grad)
+        if gn == 0.0:
             return best_val, best_x, it, True
-        x_pow = x_pow / npow
-        val_pow, _ = _norm_and_gradient(psi_v * x_pow, p, rng)
+        _, x_pow = _norm_and_gradient(grad, q, rng)
+        val_pow, y_pow = _norm_and_gradient(psi_v * x_pow, p, rng)
         if val_pow >= val:
-            x, val = x_pow, val_pow
+            x, val, y = x_pow, val_pow, y_pow
         else:
-            gn = np.linalg.norm(grad)
-            if gn == 0.0:
-                return best_val, best_x, it, True
             x_new = x + step * grad / gn
             x_new /= schatten_norm(x_new, p)
-            val_new, _ = _norm_and_gradient(psi_v * x_new, p, rng)
+            val_new, y_new = _norm_and_gradient(psi_v * x_new, p, rng)
             if val_new >= val:
-                x, val = x_new, val_new
+                x, val, y = x_new, val_new, y_new
                 step = min(step * 1.25, 4.0)
             else:
                 step *= 0.4
@@ -238,7 +223,7 @@ def ms_norm_lower(psi, p: float, cfg: SearchConfig | None = None) -> NormEstimat
     sym = psi if isinstance(psi, MultiplierSymbol) else MultiplierSymbol(np.asarray(psi))
     psi_v = sym.values
     n = sym.n
-    if p < 1:
+    if not p >= 1:
         raise ValueError("p must lie in [1, inf]")
 
     mags = np.abs(psi_v)
@@ -260,20 +245,12 @@ def ms_norm_lower(psi, p: float, cfg: SearchConfig | None = None) -> NormEstimat
         r = np.random.default_rng(child)
         seeds.append(r.standard_normal((n, n)) + 1j * r.standard_normal((n, n)))
 
-    def run(idx_seed):
-        idx, x0 = idx_seed
+    runs = []
+    for idx, x0 in enumerate(seeds):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 7919, idx)))
-        return idx, _ascend(psi_v, p, x0, cfg, rng)
-
-    workers = min(thread_cap(), len(seeds))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, enumerate(seeds)))
-    else:
-        results = [run(pair) for pair in enumerate(seeds)]
-    # Deterministic merge: best value, ties broken by lowest seed index.
-    results.sort(key=lambda r: (-r[1][0], r[0]))
-    _, (value, witness, iters, conv) = results[0]
+        runs.append(_ascend(psi_v, p, x0, cfg, rng))
+    # Best value wins; max keeps the first, so a tie goes to the lowest seed index.
+    value, witness, iters, conv = max(runs, key=lambda r: r[0])
     value = _ratio(psi_v, witness, p)  # reported value reproduces the witness ratio
     floor = float(mags[i0, j0])
     if value < floor:
@@ -291,14 +268,14 @@ def cb_lower_bound(psi, p: float, m: int, cfg: SearchConfig | None = None) -> fl
     sym = psi if isinstance(psi, MultiplierSymbol) else MultiplierSymbol(np.asarray(psi))
     if m < 1:
         raise ValueError("amplification must be >= 1")
-    base = ms_norm_lower(sym, p, cfg)
-    if m == 1:
-        return base.value
     n = sym.n
-    if n * m > cfg.amplification_cap:
+    if m > 1 and n * m > cfg.amplification_cap:
         raise ValueError(
             f"amplified size {n * m} exceeds cap {cfg.amplification_cap}"
         )
+    base = ms_norm_lower(sym, p, cfg)
+    if m == 1:
+        return base.value
     big = np.kron(sym.values, np.ones((m, m)))
     embedded = np.zeros((n * m, n * m), dtype=complex)
     embedded[::m, ::m] = base.witness

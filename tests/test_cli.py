@@ -128,6 +128,14 @@ def test_norm_requires_seed(tmp_path, capsys):
     assert code == 2
 
 
+def test_norm_rejects_nan_p(tmp_path, capsys):
+    src = tmp_path / "psi.json"
+    src.write_text(sc.symbol_to_json(sc.MultiplierSymbol(np.eye(2))))
+    code, _, err = run(capsys, "norm", "--in", str(src), "--p", "nan", "--seed", "1")
+    assert code == 2
+    assert json.loads(err) == {"error": "ValueError", "message": "p must lie in [1, inf]"}
+
+
 def test_coeffs_subcommand(tmp_path, capsys):
     code, out, _ = run(
         capsys, "coeffs", "--family", "su2", "-L", "4", "--phi", "legendre:3",

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from schur_harmonics import schatten as sc
@@ -68,6 +71,8 @@ def test_norm_rejects_bad_input():
         sc.schatten_norm(np.array([[np.nan, 0], [0, 1]]), 2.0)
     with pytest.raises(ValueError):
         sc.schatten_norm(np.eye(3), 0.5)
+    with pytest.raises(ValueError, match=r"p must lie in \[1, inf\]"):
+        sc.schatten_norm(np.eye(2), math.nan)
     bad_stack = np.ones((2, 3, 3), dtype=complex)
     bad_stack[1, 2, 0] = np.inf
     for bad in (np.ones(3), np.ones((2, 2, 3, 3)), np.ones((2, 3)), np.ones((4, 2, 3)), bad_stack):
@@ -206,19 +211,87 @@ def test_known_sign_symbol_values():
         assert_allclose(est.value, expected, rtol=1e-8)
 
 
-def test_search_deterministic_under_thread_cap(monkeypatch):
+def test_search_bit_identical_for_same_config():
     rng = np.random.default_rng(12)
     psi = random_complex(rng, 4)
-    monkeypatch.setenv("SCHUR_HARMONICS_THREADS", "1")
-    serial = sc.ms_norm_lower(psi, 4.0, sc.SearchConfig(restarts=8, seed=6))
-    monkeypatch.setenv("SCHUR_HARMONICS_THREADS", "4")
-    threaded = sc.ms_norm_lower(psi, 4.0, sc.SearchConfig(restarts=8, seed=6))
-    assert serial.value == threaded.value
+    cfg = sc.SearchConfig(restarts=8, seed=6)
+    for p in (4.0, np.inf):
+        first = sc.ms_norm_lower(psi, p, cfg)
+        again = sc.ms_norm_lower(psi, p, cfg)
+        assert first.value == again.value
+        assert first.witness.tobytes() == again.witness.tobytes()
+
+
+def _reference_ascent(psi, p, x0, cfg):
+    """The ascent written out plainly: every iteration recomputes the gradient
+    at X and rescales the power step by its own S^p norm."""
+    q = sc._dual_exponent(p)
+    rng = np.random.default_rng(0)
+    x = x0 / sc.schatten_norm(x0, p)
+    val = sc.schatten_norm(psi * x, p)
+    best, history, step = val, [val], cfg.step0
+    for _ in range(cfg.max_iter):
+        _, y = sc._norm_and_gradient(psi * x, p, rng)
+        grad = psi.conj() * y
+        _, x_pow = sc._norm_and_gradient(grad, q, rng)
+        x_pow = x_pow / sc.schatten_norm(x_pow, p)
+        if sc.schatten_norm(psi * x_pow, p) >= val:
+            x = x_pow
+        else:
+            x_new = x + step * grad / np.linalg.norm(grad)
+            x_new /= sc.schatten_norm(x_new, p)
+            if sc.schatten_norm(psi * x_new, p) >= val:
+                x, step = x_new, min(step * 1.25, 4.0)
+            else:
+                step *= 0.4
+        val = sc.schatten_norm(psi * x, p)
+        best = max(best, val)
+        history.append(val)
+        if len(history) > cfg.gain_window:
+            if val - history[-cfg.gain_window - 1] < cfg.gain_tol * val:
+                break
+    return best
+
+
+def test_ascent_matches_plain_reference():
+    # The search reuses the gradient of the accepted point and skips the
+    # normalising SVD of the power step; neither may change the values.
+    rng = np.random.default_rng(15)
+    cfg = sc.SearchConfig()
+    for n, p in [(2, 4.0 / 3.0), (3, 3.0), (4, 4.0), (5, 1.5)]:
+        psi = random_complex(rng, n)
+        for _ in range(3):
+            x0 = random_complex(rng, n)
+            val, _, _, _ = sc._ascend(psi, p, x0, cfg, np.random.default_rng(0))
+            assert_allclose(val, _reference_ascent(psi, p, x0, cfg), rtol=1e-12)
+
+
+@st.composite
+def complex_matrices(draw):
+    n = draw(st.integers(1, 6))
+    parts = draw(arrays(np.float64, (2, n, n), elements=st.floats(-10.0, 10.0)))
+    return parts[0] + 1j * parts[1]
+
+
+@given(
+    g=complex_matrices(),
+    p=st.one_of(st.just(1.0), st.floats(1.05, 1e3), st.just(np.inf)),
+)
+@settings(max_examples=200, deadline=None)
+def test_dual_witness_has_unit_p_norm(g, p):
+    # The ascent's power step relies on this: the S^q dual witness of the
+    # gradient already lies on the unit sphere of S^p.  Entries are kept away
+    # from 0 so that s**q neither underflows nor overflows at q <= 21.
+    assume(np.abs(g).max() >= 1e-3)
+    _, w = sc._norm_and_gradient(g, sc._dual_exponent(p), np.random.default_rng(0))
+    assert abs(sc.schatten_norm(w, p) - 1.0) <= 1e-12
 
 
 def test_p_below_one_rejected():
     with pytest.raises(ValueError):
         sc.ms_norm_lower(np.eye(2), 0.9)
+    with pytest.raises(ValueError, match=r"p must lie in \[1, inf\]"):
+        sc.ms_norm_lower(np.eye(2), math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +318,15 @@ def test_cb_amplification_monotone():
     assert sc.cb_lower_bound(psi, 4.0, 2, cfg) >= base - 1e-9
 
 
-def test_cb_memory_guard():
+def test_cb_memory_guard(monkeypatch):
     with pytest.raises(ValueError):
         sc.cb_lower_bound(np.ones((8, 8)), 4.0, 100)
+    # the guard fires before any search runs
+    calls = []
+    monkeypatch.setattr(sc, "ms_norm_lower", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="exceeds cap"):
+        sc.cb_lower_bound(np.ones((8, 8)), 4.0, 100)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

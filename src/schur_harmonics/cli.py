@@ -81,80 +81,31 @@ def _cmd_kak(args) -> int:
     return EXIT_OK
 
 
-def _rel_gap(log_lhs: float, log_rhs: float) -> float:
-    """Relative residual e^(log_lhs - log_rhs) - 1, safe at any magnitude."""
-    if log_lhs == log_rhs:  # covers the -inf == -inf case
-        return 0.0
-    if math.isinf(log_lhs) or math.isinf(log_rhs):
-        return math.inf
-    return math.expm1(log_lhs - log_rhs)
+# `solve <system>` passes these options, in order, to coset_geometry.solve_<system>
+_SOLVE_INPUTS = {
+    "hyperbola": ("alpha", "a", "b"),
+    "circle": ("alpha", "r"),
+    "st": ("beta", "gamma"),
+    "bg": ("s", "t"),
+}
 
 
 def _cmd_solve(args) -> int:
-    ls = cg.log_sinh
     system = args.system
-    if system == "hyperbola":
-        beta, gamma = cg.solve_hyperbola(args.alpha, args.a, args.b)
-        s2 = args.a**2 + args.b**2
-        log_want = (
-            2.0 * ls(args.alpha) + math.log(1.0 - s2) if s2 < 1.0 else -math.inf
-        )
-        payload = {
-            "beta": beta, "gamma": gamma,
-            "residuals": {"product_rel": _rel_gap(ls(beta) + ls(gamma), log_want)},
+    given = tuple(getattr(args, name) for name in _SOLVE_INPUTS[system])
+    x, y = getattr(cg, "solve_" + system)(*given)
+    payload = dict(zip(("s", "t") if system == "st" else ("beta", "gamma"), (x, y)))
+    payload["residuals"] = cg.residuals(system, given, (x, y))
+    if system == "st":
+        payload["ineq_margins"] = {
+            "s_minus_beta_over_4": x - args.beta / 4.0,
+            "t_minus_gamma_over_2": y - args.gamma / 2.0,
         }
-    elif system == "circle":
-        beta, gamma = cg.solve_circle(args.alpha, args.r)
-        log_prod = (
-            ls(beta) + ls(gamma) if gamma > 0 else -math.inf
-        )
-        log_want = (
-            2.0 * ls(2 * args.alpha) + math.log(abs(args.r) / 2.0)
-            if args.r != 0 else -math.inf
-        )
-        payload = {
-            "beta": beta, "gamma": gamma,
-            "residuals": {"product_rel": _rel_gap(log_prod, log_want)},
+    elif system == "bg" and 1.0 <= args.t <= args.s <= 1.5 * args.t:
+        payload["ineq_margins"] = {
+            "beta_window": 1.0 - abs(x - 2 * args.s),
+            "gamma_window": 1.0 - abs(y + 2 * args.s - 3 * args.t),
         }
-    elif system == "st":
-        s, t = cg.solve_st(args.beta, args.gamma)
-        res_s = _rel_gap(
-            cg._log_s_lhs(s),
-            cg._log_s_lhs(0) if args.beta == 0 else
-            cg._log_sum_pair(2 * ls(args.beta), 2 * ls(args.gamma)),
-        )
-        res_t = _rel_gap(
-            cg._log_t_lhs(t),
-            ls(args.beta) + ls(args.gamma) if args.gamma > 0 else -math.inf,
-        )
-        payload = {
-            "s": s, "t": t,
-            "residuals": {"s_equation_rel": res_s, "t_equation_rel": res_t},
-            "ineq_margins": {
-                "s_minus_beta_over_4": s - args.beta / 4.0,
-                "t_minus_gamma_over_2": t - args.gamma / 2.0,
-            },
-        }
-    else:  # bg
-        beta, gamma = cg.solve_bg(args.s, args.t)
-        log_sum = (
-            cg._log_sum_pair(2 * ls(beta), 2 * ls(gamma)) if beta > 0 else -math.inf
-        )
-        payload = {
-            "beta": beta, "gamma": gamma,
-            "residuals": {
-                "sum_rel": _rel_gap(log_sum, cg._log_s_lhs(args.s)),
-                "product_rel": _rel_gap(
-                    ls(beta) + ls(gamma) if gamma > 0 else -math.inf,
-                    cg._log_t_lhs(args.t),
-                ),
-            },
-        }
-        if 1.0 <= args.t <= args.s <= 1.5 * args.t:
-            payload["ineq_margins"] = {
-                "beta_window": 1.0 - abs(beta - 2 * args.s),
-                "gamma_window": 1.0 - abs(gamma + 2 * args.s - 3 * args.t),
-            }
     _emit(payload, args.output)
     return EXIT_OK
 
@@ -209,7 +160,7 @@ def _cmd_holder(args) -> int:
         "empirical_constants": report.empirical_constants,
         "violations": len(report.violations),
     }
-    sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _emit(summary, None)
     if args.family == "su2" and report.violations:
         raise NumericFailure("explicit-constant bound violated")
     return EXIT_OK
@@ -329,20 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve one of the four sinh systems")
     solve_sub = p_solve.add_subparsers(dest="system", required=True)
-    s_hyp = solve_sub.add_parser("hyperbola")
-    s_hyp.add_argument("--alpha", type=float, required=True)
-    s_hyp.add_argument("--a", type=float, required=True)
-    s_hyp.add_argument("--b", type=float, required=True)
-    s_cir = solve_sub.add_parser("circle")
-    s_cir.add_argument("--alpha", type=float, required=True)
-    s_cir.add_argument("--r", type=float, required=True)
-    s_st = solve_sub.add_parser("st")
-    s_st.add_argument("--beta", type=float, required=True)
-    s_st.add_argument("--gamma", type=float, required=True)
-    s_bg = solve_sub.add_parser("bg")
-    s_bg.add_argument("--s", type=float, required=True)
-    s_bg.add_argument("--t", type=float, required=True)
-    for sp in (s_hyp, s_cir, s_st, s_bg):
+    for system, names in _SOLVE_INPUTS.items():
+        sp = solve_sub.add_parser(system)
+        for name in names:
+            sp.add_argument(f"--{name}", type=float, required=True)
         sp.add_argument("-o", "--output")
         sp.set_defaults(func=_cmd_solve)
 
@@ -398,20 +339,13 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (NumericFailure, ArithmeticError) as exc:
+    except Exception as exc:  # every failure, expected or not, is reported
         sys.stderr.write(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
         )
-        return EXIT_NUMERIC
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
-        )
-        return EXIT_VALIDATION
-    except Exception as exc:  # unexpected: still report structured
-        sys.stderr.write(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n"
-        )
+        # NumericFailure, ArithmeticError and anything unforeseen are numeric
+        if isinstance(exc, (ValueError, KeyError, OSError)):
+            return EXIT_VALIDATION
         return EXIT_NUMERIC
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -33,12 +34,15 @@ __all__ = [
     "solve_circle",
     "solve_st",
     "solve_bg",
+    "rel_gap",
+    "residuals",
     "chamber_scan",
     "scan_to_csv",
 ]
 
 _LOG2 = math.log(2.0)
 _NEG_INF = float("-inf")
+_LOG_TINY2 = 2.0 * math.log(sys.float_info.min)  # log of the squared smallest normal
 
 
 def log_sinh(x: float) -> float:
@@ -116,17 +120,15 @@ def solve_hyperbola(alpha: float, a: float, b: float) -> tuple:
     from the product equation, which avoids the cancellation of the
     difference form.  Always beta >= gamma >= 0.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError("alpha must be finite and >= 0")
     s2 = a * a + b * b
-    if s2 > 1.0 + 1e-12:
-        raise ValueError("need a^2 + b^2 <= 1")
+    if not s2 <= 1.0 + 1e-12:
+        raise ValueError("need finite a, b with a^2 + b^2 <= 1")
     s2 = min(s2, 1.0)
     if alpha == 0.0:
         return (0.0, 0.0)
-    log_a = (
-        2.0 * log_sinh(alpha) + math.log(1.0 - s2) if s2 < 1.0 else _NEG_INF
-    )
+    log_a = _log_hyperbola_rhs(alpha, s2)
     log_b = log_sinh(2.0 * alpha) + math.log(abs(a)) if a != 0.0 else _NEG_INF
     if log_b == _NEG_INF and log_a == _NEG_INF:
         return (0.0, 0.0)
@@ -154,10 +156,10 @@ def solve_circle(alpha: float, r: float) -> tuple:
     The discriminant is sinh^4(2 alpha)(1 - r^2) >= 0; tiny negative values
     from rounding are clamped.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    if abs(r) > 1.0 + 1e-12:
-        raise ValueError("need |r| <= 1")
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError("alpha must be finite and >= 0")
+    if not abs(r) <= 1.0 + 1e-12:
+        raise ValueError("need finite r with |r| <= 1")
     w = min(abs(r), 1.0)
     if alpha == 0.0:
         return (0.0, 0.0)
@@ -180,15 +182,31 @@ def _log_sum_pair(l_big: float, l_small: float) -> float:
     return l_big + _log1p_exp(l_small - l_big)
 
 
+def _log_sum_sq(x: float, y: float) -> float:
+    """log(sinh^2(x) + sinh^2(y)) for x >= y >= 0: every sum side."""
+    return _log_sum_pair(2.0 * log_sinh(x), 2.0 * log_sinh(y))
+
+
+def _log_prod(x: float, y: float) -> float:
+    """log(sinh(x) sinh(y)) for x, y >= 0: every product side."""
+    return log_sinh(x) + log_sinh(y)
+
+
+def _log_hyperbola_rhs(alpha: float, s2: float) -> float:
+    """log(sinh^2(alpha)(1 - s2)), the hyperbola's product side; s2 = a^2 + b^2."""
+    return _log_prod(alpha, alpha) + math.log(1.0 - s2) if s2 < 1.0 else _NEG_INF
+
+
 def _log_s_lhs(s: float) -> float:
-    """log(sinh^2(2s) + sinh^2(s))."""
+    """log(sinh^2(2s) + sinh^2(s)), i.e. _log_sum_sq(2s, s) written out
+    because the bisection evaluates it a hundred times per solve."""
     if s == 0.0:
         return _NEG_INF
     return _log_sum_pair(2.0 * log_sinh(2.0 * s), 2.0 * log_sinh(s))
 
 
 def _log_t_lhs(t: float) -> float:
-    """log(sinh(2t) sinh(t))."""
+    """log(sinh(2t) sinh(t)), i.e. _log_prod(2t, t) written out."""
     if t == 0.0:
         return _NEG_INF
     return log_sinh(2.0 * t) + log_sinh(t)
@@ -223,7 +241,9 @@ def _solve_monotone(f, df, target: float, hi: float, tol: float = 1e-12) -> floa
         step = res / d
         x_new = x - step
         if x_new <= 0.0:
-            x_new = x / 2.0
+            # the root lies orders of magnitude below x, where f is close to
+            # c + k log(x): take the Newton step on log(x) instead
+            x_new = x * math.exp(-step / x)
         x = x_new
     return x
 
@@ -244,19 +264,21 @@ def solve_st(beta: float, gamma: float) -> tuple:
 
     Both left sides are strictly increasing, so bisection brackets each root
     and Newton refines it to a relative residual of 1e-12.  The outputs
-    always satisfy s >= beta/4 and t >= gamma/2.
+    always satisfy s >= beta/4 and t >= gamma/2.  ArithmeticError is raised
+    when s or t would lie below the smallest normal double, where no double
+    meets that residual.
     """
-    if gamma < 0 or beta < gamma:
-        raise ValueError("need beta >= gamma >= 0")
+    if not 0.0 <= gamma <= beta < math.inf:
+        raise ValueError("need finite beta >= gamma >= 0")
     if beta == 0.0:
         return (0.0, 0.0)
-    target_s = _log_sum_pair(2.0 * log_sinh(beta), 2.0 * log_sinh(gamma))
+    target_s = _log_sum_sq(beta, gamma)
+    target_t = _log_prod(beta, gamma)
+    # 5 s^2 <= sinh^2(2s)+sinh^2(s) and 2 t^2 <= sinh(2t)sinh(t) bound the roots
+    if target_s < math.log(5.0) + _LOG_TINY2 or _NEG_INF < target_t < _LOG2 + _LOG_TINY2:
+        raise ArithmeticError("s or t lies below the normal double range")
     s = _solve_monotone(_log_s_lhs, _ds_log_s_lhs, target_s, beta)
-    if gamma == 0.0:
-        t = 0.0
-    else:
-        target_t = log_sinh(beta) + log_sinh(gamma)
-        t = _solve_monotone(_log_t_lhs, _dt_log_t_lhs, target_t, beta)
+    t = _solve_monotone(_log_t_lhs, _dt_log_t_lhs, target_t, beta)
     if s < beta / 4.0 - 1e-9 or t < gamma / 2.0 - 1e-9:
         raise ArithmeticError("postcondition s >= beta/4, t >= gamma/2 failed")
     return (s, t)
@@ -271,8 +293,8 @@ def solve_bg(s: float, t: float) -> tuple:
     s >= t >= 0.  On the strip 1 <= t <= s <= 3t/2 the solution satisfies
     |beta - 2s| <= 1 and |gamma + 2s - 3t| <= 1, which is asserted.
     """
-    if t < 0 or s < t - 1e-12:
-        raise ValueError("need s >= t >= 0")
+    if not (t >= 0.0 and t - 1e-12 <= s < math.inf):
+        raise ValueError("need finite s >= t >= 0")
     t = min(t, s)
     if s == 0.0:
         return (0.0, 0.0)
@@ -294,6 +316,56 @@ def solve_bg(s: float, t: float) -> tuple:
     return (beta, gamma)
 
 
+def rel_gap(log_lhs: float, log_rhs: float) -> float:
+    """Relative defect e^(log_lhs - log_rhs) - 1 of the equation lhs = rhs,
+    from the logs of its sides, safe at any magnitude.
+
+    It is 0 when both sides are zero (log -inf) and inf when exactly one is.
+    """
+    if log_lhs == log_rhs:  # covers the -inf == -inf case
+        return 0.0
+    if math.isinf(log_lhs) or math.isinf(log_rhs):
+        return math.inf
+    return math.expm1(log_lhs - log_rhs)
+
+
+def residuals(system: str, given: tuple, solution: tuple) -> dict:
+    """Relative residual of each equation of a sinh system at its solution.
+
+    ``system`` is "hyperbola", "circle", "st" or "bg", ``given`` the
+    arguments of that system's solver and ``solution`` the pair it returned.
+    Each residual is ``rel_gap(solution side, given side)``.  The hyperbola
+    and circle report their product equation (``product_rel``), st its two
+    equations (``s_equation_rel``, ``t_equation_rel``) and bg its sum and
+    product equations (``sum_rel``, ``product_rel``).
+    """
+    x, y = solution
+    if system == "st":
+        beta, gamma = given
+        return {
+            "s_equation_rel": rel_gap(_log_s_lhs(x), _log_sum_sq(beta, gamma)),
+            "t_equation_rel": rel_gap(_log_t_lhs(y), _log_prod(beta, gamma)),
+        }
+    if system == "bg":
+        s, t = given
+        return {
+            "sum_rel": rel_gap(_log_sum_sq(x, y), _log_s_lhs(s)),
+            "product_rel": rel_gap(_log_prod(x, y), _log_t_lhs(t)),
+        }
+    if system == "hyperbola":
+        alpha, a, b = given
+        want = _log_hyperbola_rhs(alpha, a * a + b * b)
+    elif system == "circle":
+        alpha, r = given
+        want = (
+            _log_prod(2.0 * alpha, 2.0 * alpha) + math.log(abs(r) / 2.0)
+            if r != 0.0 else _NEG_INF
+        )
+    else:
+        raise ValueError(f"unknown sinh system {system!r}")
+    return {"product_rel": rel_gap(_log_prod(x, y), want)}
+
+
 def chamber_scan(beta_max: float, grid: int) -> list:
     """Solve the (s, t) system on a triangular chamber grid.
 
@@ -305,17 +377,8 @@ def chamber_scan(beta_max: float, grid: int) -> list:
     for beta in [beta_max * i / (grid - 1) for i in range(grid)]:
         for gamma in [beta * j / (grid - 1) for j in range(grid)]:
             s, t = solve_st(beta, gamma)
-            res_s = _log_s_lhs(s) - (
-                _log_sum_pair(2.0 * log_sinh(beta), 2.0 * log_sinh(gamma))
-                if beta > 0.0 else _NEG_INF
-            )
-            res_t = _log_t_lhs(t) - (
-                log_sinh(beta) + log_sinh(gamma) if gamma > 0.0 else _NEG_INF
-            )
-            residual = max(
-                abs(math.expm1(res_s)) if math.isfinite(res_s) else 0.0,
-                abs(math.expm1(res_t)) if math.isfinite(res_t) else 0.0,
-            )
+            res = residuals("st", (beta, gamma), (s, t))
+            residual = max(abs(r) for r in res.values())
             margin = min(s - beta / 4.0, t - gamma / 2.0)
             rows.append((beta, gamma, s, t, residual, margin))
     return rows

@@ -105,9 +105,11 @@ def schatten_norm(x, p: float) -> float:
     if not p >= 1:
         raise ValueError("p must lie in [1, inf]")
     s = np.linalg.svd(a, compute_uv=False)
-    if np.isinf(p):
-        return float(s.max()) if s.size else 0.0
-    return float(np.sum(s**p) ** (1.0 / p))
+    top = s.max() if s.size else 0.0
+    if np.isinf(p) or top == 0.0:
+        return float(top)
+    # scaled by the largest singular value so s**p neither overflows nor underflows
+    return float(top * np.sum((s / top) ** p) ** (1.0 / p))
 
 
 def schur_apply(psi, x) -> np.ndarray:
@@ -138,9 +140,9 @@ def _norm_and_gradient(y: np.ndarray, p: float, rng: np.random.Generator):
         return float(s[0]), np.outer(u[:, 0], vh[0].conj())
     if p == 1.0:
         return float(np.sum(s)), u @ vh
-    val = float(np.sum(s**p) ** (1.0 / p))
-    if val == 0.0:
+    if s[0] == 0.0:
         return 0.0, np.zeros_like(y)
+    val = float(s[0] * np.sum((s / s[0]) ** p) ** (1.0 / p))
     w = (s / val) ** (p - 1.0)
     return val, (u * w) @ vh
 

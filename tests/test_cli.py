@@ -71,6 +71,23 @@ def test_solve_domain_error_exit(capsys):
     assert "ValueError" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "st", "--beta", "nan", "--gamma", "nan"],
+        ["solve", "st", "--beta", "2", "--gamma", "nan"],
+        ["solve", "hyperbola", "--alpha", "inf", "--a", "0.3", "--b", "0.5"],
+        ["solve", "circle", "--alpha", "1", "--r", "nan"],
+        ["solve", "bg", "--s", "inf", "--t", "1"],
+    ],
+)
+def test_solve_non_finite_exit(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
 def test_kak_subcommand(tmp_path, capsys):
     rng = np.random.default_rng(0)
     g = sp.haar_k(rng) @ sp.weyl_element(1.1, 0.3) @ sp.haar_k(rng)

@@ -1,9 +1,13 @@
 """Tests for the sinh matching systems and their matrix cross-checks."""
 
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
 from schur_harmonics import coset_geometry as cg
@@ -194,6 +198,13 @@ def test_st_rejects_bad_order():
         cg.solve_st(1.0, 2.0)
 
 
+def test_st_raises_below_normal_range():
+    # true solutions: t ~ 7e-311, s ~ 1.8e-308 and s ~ 4.5e-311, all subnormal
+    for beta, gamma in ((1e-300, 1e-320), (4e-308, 0.0), (1e-310, 0.0)):
+        with pytest.raises(ArithmeticError, match="normal double range"):
+            cg.solve_st(beta, gamma)
+
+
 # ---------------------------------------------------------------------------
 # solve_bg
 
@@ -238,6 +249,122 @@ def test_roundtrip_bg_of_st_where_ordered():
             b2, g2 = cg.solve_bg(s, min(t, s))
             assert abs(b2 - beta) <= 1e-9 * max(1.0, beta)
             assert abs(g2 - gamma) <= 1e-9 * max(1.0, beta)
+
+
+@pytest.mark.parametrize(
+    "solver, bad",
+    [
+        (cg.solve_hyperbola, [(math.nan, 0.3, 0.5), (1.0, math.nan, 0.5), (1.0, 0.3, math.inf), (math.inf, 0.0, 0.0)]),
+        (cg.solve_circle, [(math.nan, 0.4), (1.0, math.nan), (math.inf, 0.4), (1.0, -math.inf)]),
+        (cg.solve_st, [(math.nan, math.nan), (2.0, math.nan), (math.inf, 1.0), (math.inf, math.inf)]),
+        (cg.solve_bg, [(math.inf, 1.0), (math.nan, 1.0), (2.0, math.nan), (math.inf, math.inf)]),
+    ],
+    ids=["hyperbola", "circle", "st", "bg"],
+)
+def test_solvers_reject_non_finite(solver, bad):
+    for args in bad:
+        with pytest.raises(ValueError):
+            solver(*args)
+
+
+# ---------------------------------------------------------------------------
+# equation residuals
+
+
+def _mp_rel_gap(lhs, rhs):
+    if lhs == rhs:
+        return mpmath.mpf(0)
+    if lhs == 0 or rhs == 0:
+        return mpmath.inf
+    return lhs / rhs - 1
+
+
+def _mp_residuals(system, given, solution):
+    """The residuals of ``cg.residuals`` written from the equations in 50
+    digits, on the exact values of the double inputs."""
+    sh = mpmath.sinh
+    x, y = (mpmath.mpf(v) for v in solution)
+    if system == "hyperbola":
+        alpha, a, b = (mpmath.mpf(v) for v in given)
+        return {"product_rel": _mp_rel_gap(sh(x) * sh(y), sh(alpha) ** 2 * (1 - a * a - b * b))}
+    if system == "circle":
+        alpha, r = (mpmath.mpf(v) for v in given)
+        return {"product_rel": _mp_rel_gap(sh(x) * sh(y), sh(2 * alpha) ** 2 * abs(r) / 2)}
+    u, v = (mpmath.mpf(w) for w in given)
+    if system == "st":
+        return {
+            "s_equation_rel": _mp_rel_gap(sh(2 * x) ** 2 + sh(x) ** 2, sh(u) ** 2 + sh(v) ** 2),
+            "t_equation_rel": _mp_rel_gap(sh(2 * y) * sh(y), sh(u) * sh(v)),
+        }
+    return {
+        "sum_rel": _mp_rel_gap(sh(x) ** 2 + sh(y) ** 2, sh(2 * u) ** 2 + sh(u) ** 2),
+        "product_rel": _mp_rel_gap(sh(x) * sh(y), sh(2 * v) * sh(v)),
+    }
+
+
+@pytest.mark.parametrize(
+    "system, given",
+    [
+        ("hyperbola", (0.7, 0.3, 0.5)),
+        ("hyperbola", (690.0, 0.4, 0.1)),
+        ("circle", (0.8, 0.4)),
+        ("circle", (350.0, -0.3)),
+        ("st", (2.0, 1.0)),
+        ("st", (0.3, 0.05)),
+        ("st", (700.0, 300.0)),
+        ("st", (700.0, 699.0)),
+        ("st", (1.0, 1e-120)),
+        ("bg", (1.4, 1.0)),
+        ("bg", (0.2, 0.1)),
+        ("bg", (350.0, 300.0)),
+        ("bg", (700.0, 500.0)),
+    ],
+)
+def test_residuals_match_mpmath_oracle(system, given):
+    solver = getattr(cg, "solve_" + system)
+    solution = solver(*given)
+    with mpmath.workdps(50):
+        for rel in (0.0, 1e-8, -1e-8):
+            moved = tuple(v * (1.0 + rel) for v in solution)
+            got = cg.residuals(system, given, moved)
+            want = _mp_residuals(system, given, moved)
+            assert got.keys() == want.keys()
+            for key, res in got.items():
+                if rel == 0.0:
+                    assert abs(res) <= 1e-10
+                    continue
+                # each log side is rounded to a few ulps of its size (<= ~2800 here)
+                assert abs(res) >= 1e-9
+                assert abs(res - float(want[key])) <= 1e-11 * (1.0 + abs(res))
+
+
+def test_residuals_of_zero_sides():
+    assert cg.residuals("st", (0.0, 0.0), (0.0, 0.0)) == {
+        "s_equation_rel": 0.0, "t_equation_rel": 0.0,
+    }
+    assert cg.residuals("st", (2.0, 0.0), (0.9, 0.0))["t_equation_rel"] == 0.0
+    assert cg.residuals("st", (2.0, 0.0), (0.9, 0.1))["t_equation_rel"] == math.inf
+    assert cg.residuals("circle", (0.8, 0.0), (2.0, 0.0)) == {"product_rel": 0.0}
+    assert cg.residuals("hyperbola", (1.0, 0.6, 0.8), (1.5, 0.0)) == {"product_rel": 0.0}
+    with pytest.raises(ValueError):
+        cg.residuals("parabola", (1.0,), (1.0, 0.0))
+
+
+@given(hst.floats(0.0, 700.0), hst.floats(0.0, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_st_residuals_small_on_chamber(beta, frac):
+    gamma = beta * frac
+    try:
+        solution = cg.solve_st(beta, gamma)
+    except ArithmeticError:
+        # allowed only where s or t is below the smallest normal double, by
+        # 5 s^2 <= sinh^2(beta) + sinh^2(gamma) and 2 t^2 <= sinh(beta) sinh(gamma)
+        sb, sg = mpmath.sinh(beta), mpmath.sinh(gamma)
+        tiny = sys.float_info.min
+        assert mpmath.sqrt((sb**2 + sg**2) / 5) < tiny or 0 < mpmath.sqrt(sb * sg / 2) < tiny
+        return
+    res = cg.residuals("st", (beta, gamma), solution)
+    assert all(abs(r) <= 1e-10 for r in res.values())
 
 
 def test_chamber_scan_csv(tmp_path):

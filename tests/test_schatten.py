@@ -80,6 +80,14 @@ def test_norm_rejects_bad_input():
             sc.schatten_norm(bad, 2.0)
 
 
+def test_norm_without_overflow_or_underflow():
+    assert_allclose(sc.schatten_norm(10.0 * np.eye(2), 400.0), 10.0 * 2.0 ** (1 / 400), rtol=1e-14)
+    assert_allclose(sc.schatten_norm(1e-3 * np.eye(2), 120.0), 1e-3 * 2.0 ** (1 / 120), rtol=1e-14)
+    # the all-tens symbol multiplies by 10, so its norm is 10 at every p
+    est = sc.ms_norm_lower(sc.MultiplierSymbol(10.0 * np.ones((2, 2))), 400.0)
+    assert_allclose(est.value, 10.0, rtol=1e-12)
+
+
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.5, np.inf])
 def test_norm_of_stack_is_norm_of_block_diagonal(p):
     from scipy.linalg import block_diag

@@ -42,7 +42,8 @@ __all__ = [
 
 _LOG2 = math.log(2.0)
 _NEG_INF = float("-inf")
-_LOG_TINY2 = 2.0 * math.log(sys.float_info.min)  # log of the squared smallest normal
+_LOG_TINY = math.log(sys.float_info.min)  # log of the smallest normal double
+_LOG_TINY2 = 2.0 * _LOG_TINY
 
 
 def log_sinh(x: float) -> float:
@@ -70,6 +71,13 @@ def asinh_exp(log_s: float) -> float:
 def _log1p_exp(d: float) -> float:
     """log(1 + e^d) for d <= 0."""
     return math.log1p(math.exp(d)) if d > -700.0 else 0.0
+
+
+def _finite_pair(x: float, y: float) -> tuple:
+    """The solver outputs (x, y), or ArithmeticError when either overflowed."""
+    if not x + y < math.inf:  # false for inf and for nan
+        raise ArithmeticError("solution beyond the double range")
+    return (x, y)
 
 
 def su2_label(a: float, b: float, c: float, d: float) -> float:
@@ -118,7 +126,8 @@ def solve_hyperbola(alpha: float, a: float, b: float) -> tuple:
 
     Closed form: sinh(beta) is the positive root of a quadratic; gamma comes
     from the product equation, which avoids the cancellation of the
-    difference form.  Always beta >= gamma >= 0.
+    difference form.  Always beta >= gamma >= 0; ArithmeticError is raised
+    when beta overflows (alpha from about 9e307).
     """
     if not 0.0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and >= 0")
@@ -146,7 +155,7 @@ def solve_hyperbola(alpha: float, a: float, b: float) -> tuple:
         log_sb = 0.5 * log_a + math.asinh(h)
     beta = asinh_exp(log_sb)
     gamma = asinh_exp(log_a - log_sb) if log_a != _NEG_INF else 0.0
-    return (beta, gamma)
+    return _finite_pair(beta, gamma)
 
 
 def solve_circle(alpha: float, r: float) -> tuple:
@@ -154,7 +163,8 @@ def solve_circle(alpha: float, r: float) -> tuple:
     sinh^2(2 alpha) and sinh(beta)sinh(gamma) = sinh^2(2 alpha)|r|/2.
 
     The discriminant is sinh^4(2 alpha)(1 - r^2) >= 0; tiny negative values
-    from rounding are clamped.
+    from rounding are clamped.  ArithmeticError is raised when beta
+    overflows (alpha from about 9e307).
     """
     if not 0.0 <= alpha < math.inf:
         raise ValueError("alpha must be finite and >= 0")
@@ -170,9 +180,9 @@ def solve_circle(alpha: float, r: float) -> tuple:
     log_sb2 = log_s - _LOG2 + math.log1p(root)
     beta = asinh_exp(0.5 * log_sb2)
     if w == 0.0:
-        return (beta, 0.0)
+        return _finite_pair(beta, 0.0)
     log_sg2 = log_s - _LOG2 + 2.0 * math.log(w) - math.log1p(root)
-    return (beta, asinh_exp(0.5 * log_sg2))
+    return _finite_pair(beta, asinh_exp(0.5 * log_sg2))
 
 
 def _log_sum_pair(l_big: float, l_small: float) -> float:
@@ -230,7 +240,9 @@ def _solve_monotone(f, df, target: float, hi: float, tol: float = 1e-12) -> floa
             hi = mid
         if hi - lo < 1e-13 * max(1.0, hi):
             break
-    x = (lo + hi) / 2.0
+    # callers raise for roots below the normal range, and a subnormal start
+    # would overflow the derivative
+    x = max((lo + hi) / 2.0, sys.float_info.min)
     for _ in range(8):
         res = f(x) - target
         if abs(res) <= tol:
@@ -240,9 +252,10 @@ def _solve_monotone(f, df, target: float, hi: float, tol: float = 1e-12) -> floa
             break
         step = res / d
         x_new = x - step
-        if x_new <= 0.0:
-            # the root lies orders of magnitude below x, where f is close to
-            # c + k log(x): take the Newton step on log(x) instead
+        if x_new < 0.5 * x:
+            # the root lies far below x, where f is close to c + k log(x) and
+            # a plain step overshoots towards 0: take the Newton step on
+            # log(x) instead
             x_new = x * math.exp(-step / x)
         x = x_new
     return x
@@ -266,7 +279,7 @@ def solve_st(beta: float, gamma: float) -> tuple:
     and Newton refines it to a relative residual of 1e-12.  The outputs
     always satisfy s >= beta/4 and t >= gamma/2.  ArithmeticError is raised
     when s or t would lie below the smallest normal double, where no double
-    meets that residual.
+    meets that residual, or when s overflows.
     """
     if not 0.0 <= gamma <= beta < math.inf:
         raise ValueError("need finite beta >= gamma >= 0")
@@ -281,7 +294,7 @@ def solve_st(beta: float, gamma: float) -> tuple:
     t = _solve_monotone(_log_t_lhs, _dt_log_t_lhs, target_t, beta)
     if s < beta / 4.0 - 1e-9 or t < gamma / 2.0 - 1e-9:
         raise ArithmeticError("postcondition s >= beta/4, t >= gamma/2 failed")
-    return (s, t)
+    return _finite_pair(s, t)
 
 
 def solve_bg(s: float, t: float) -> tuple:
@@ -292,6 +305,8 @@ def solve_bg(s: float, t: float) -> tuple:
     sinh^2 of the outputs are the two roots of a quadratic; requires
     s >= t >= 0.  On the strip 1 <= t <= s <= 3t/2 the solution satisfies
     |beta - 2s| <= 1 and |gamma + 2s - 3t| <= 1, which is asserted.
+    ArithmeticError is raised when gamma > 0 would lie below the smallest
+    normal double or either output overflows.
     """
     if not (t >= 0.0 and t - 1e-12 <= s < math.inf):
         raise ValueError("need finite s >= t >= 0")
@@ -301,7 +316,7 @@ def solve_bg(s: float, t: float) -> tuple:
     log_sig = _log_s_lhs(s)
     log_pi = _log_t_lhs(t)
     if log_pi == _NEG_INF:
-        return (asinh_exp(0.5 * log_sig), 0.0)
+        return _finite_pair(asinh_exp(0.5 * log_sig), 0.0)
     w = math.exp(_LOG2 + log_pi - log_sig)
     if w > 1.0 + 1e-12:
         raise ArithmeticError("negative discriminant: inconsistent (s, t)")
@@ -309,11 +324,14 @@ def solve_bg(s: float, t: float) -> tuple:
     root = math.sqrt(max(0.0, 1.0 - w * w))
     log_sb2 = log_sig - _LOG2 + math.log1p(root)
     beta = asinh_exp(0.5 * log_sb2)
-    gamma = asinh_exp(0.5 * (2.0 * log_pi - log_sb2))
+    log_sg = 0.5 * (2.0 * log_pi - log_sb2)
+    if log_sg < _LOG_TINY:
+        raise ArithmeticError("gamma lies below the normal double range")
+    gamma = asinh_exp(log_sg)
     if 1.0 <= t <= s <= 1.5 * t:
         if abs(beta - 2.0 * s) > 1.0 + 1e-9 or abs(gamma + 2.0 * s - 3.0 * t) > 1.0 + 1e-9:
             raise ArithmeticError("strip inequalities |beta-2s|<=1, |gamma+2s-3t|<=1 failed")
-    return (beta, gamma)
+    return _finite_pair(beta, gamma)
 
 
 def rel_gap(log_lhs: float, log_rhs: float) -> float:

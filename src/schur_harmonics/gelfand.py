@@ -134,6 +134,13 @@ def coefficients_u2(
         Quadrature orders; default 4L (and 8L+1 angles).  Orders below
         L+1 radial / 2L+1 angular cannot resolve the requested truncation
         and raise UnderResolvedError.
+
+    phi0 is evaluated once on the ``disc_quadrature`` grid.  Since
+    h_{m+k,m} = r^k e^{ik theta} P_m^(0,k)(2r^2 - 1) and h_{m,m+k} is its
+    conjugate, one FFT over the uniform angles gives the angular
+    frequencies +-k of phi0 on every radius, and each coefficient is then a
+    radial Gauss sum of one frequency against r^k P_m^(0,k).  Frequencies
+    up to L are free of aliasing because n_angular >= 2L+1.
     """
     if L < 0:
         raise ValueError("truncation must be >= 0")
@@ -146,12 +153,21 @@ def coefficients_u2(
             f"orders ({n_radial}, {n_angular}) cannot resolve degree {L}"
         )
     z, w = disc_quadrature(n_radial, n_angular)
-    fam = _u2_family_on(z, L)
-    fz = np.asarray(phi0(z), dtype=complex)
-    coeffs = {
-        idx: complex(np.sum(w * fz * np.conj(h))) for idx, h in sorted(fam.items())
-    }
-    return CoefficientSpectrum("u2", coeffs, L)
+    shape = (n_radial, n_angular)
+    fz = np.broadcast_to(np.asarray(phi0(z), dtype=complex), z.shape).reshape(shape)
+    # freq[:, k] = sum over angles of w f e^{-ik theta}; the weight depends on the radius only
+    freq = np.fft.fft(fz, axis=1) * w.reshape(shape)[:, :1]
+    r = z.reshape(shape)[:, 0].real  # the theta = 0 column holds the radii
+    x = np.clip(2.0 * r * r - 1.0, -1.0, 1.0)
+    coeffs = {}
+    for k in range(L + 1):
+        radial = r**k * jacobi_all(L - k, 0.0, float(k), x)
+        plus, minus = radial @ freq[:, k], radial @ freq[:, -k]
+        for m in range(L + 1 - k):
+            coeffs[(m + k, m)] = complex(plus[m])
+            if k > 0:
+                coeffs[(m, m + k)] = complex(minus[m])
+    return CoefficientSpectrum("u2", dict(sorted(coeffs.items())), L)
 
 
 def coefficients_su2(phi0, N: int = 24, order: int | None = None) -> CoefficientSpectrum:

@@ -160,26 +160,35 @@ _SU2_SLACK = 1e-12
 
 
 def _scan_su2(max_degree: int, grid: int) -> HoelderScanReport:
+    # Every row is the maximum over all grid pairs, taken without forming
+    # the pairs.  The largest |P_n(x) - P_n(y)| is max - min (rounding is
+    # monotone); the largest divided difference is an adjacent one (over
+    # [x_i, x_j] it is a weighted mean of the adjacent ones); the Hoelder
+    # ratio runs over the lags d, all degrees at once.
     xs = np.linspace(-0.5, 0.5, grid)
-    vals = legendre_all(max_degree, xs)
-    dx = np.abs(xs[:, None] - xs[None, :])
-    sqrt_dx = np.sqrt(dx)
-    np.fill_diagonal(dx, 1.0)  # mask the zero-distance diagonal in ratios
-    np.fill_diagonal(sqrt_dx, 1.0)
+    vals = legendre_all(max_degree, xs)[1:]
+    spread = vals.max(axis=1) - vals.min(axis=1)
+    slope = (np.abs(np.diff(vals, axis=1)) / np.diff(xs)).max(axis=1)
+    holder = np.zeros(max_degree)
+    for d in range(1, grid):
+        ratio = np.abs(vals[:, d:] - vals[:, :-d]) / np.sqrt(xs[d:] - xs[:-d])
+        np.maximum(holder, ratio.max(axis=1), out=holder)
     report = HoelderScanReport("su2", max_degree, grid)
     worst = {"uniform": 0.0, "lipschitz": 0.0, "holder_half": 0.0}
     for n in range(1, max_degree + 1):
-        dp = np.abs(vals[n][:, None] - vals[n][None, :])
         rn = math.sqrt(n)
         # Smallest constant making each bound shape hold at this degree.
         per_n = {
-            "uniform": dp.max() * rn,
-            "lipschitz": (dp / dx).max() / rn,
-            "holder_half": (dp / sqrt_dx).max(),
+            "uniform": spread[n - 1] * rn,
+            "lipschitz": slope[n - 1] / rn,
+            "holder_half": holder[n - 1],
         }
         n_bad = 0
         if any(c > 4.0 + _SU2_SLACK for c in per_n.values()):
-            bad = dp > 4.0 * sqrt_dx + _SU2_SLACK
+            # list the offending pairs, as the full pair scan of this degree does
+            dx = np.abs(xs[:, None] - xs[None, :])
+            dp = np.abs(vals[n - 1][:, None] - vals[n - 1][None, :])
+            bad = dp > 4.0 * np.sqrt(dx) + _SU2_SLACK
             bad |= dp > 4.0 * rn * dx + _SU2_SLACK
             bad |= dp > 4.0 / rn + _SU2_SLACK
             np.fill_diagonal(bad, False)
@@ -203,19 +212,31 @@ def _scan_u2(max_degree: int, grid: int) -> HoelderScanReport:
     # On |z| = 1/sqrt(2) the Jacobi argument 2|z|^2 - 1 is frozen at 0, so
     # each h_{l,m} is a constant times the pure phase e^{i(l-m)theta}.  The
     # pairwise difference then depends only on the grid lag, which collapses
-    # the O(grid^2) pair scan to one pass over lags per index.
+    # the O(grid^2) pair scan to one pass over lags per index, and every
+    # index of one frequency k = l - m shares a Jacobi recurrence and a
+    # sine row.  The amplitudes repeat spherical_u2's operations, so the
+    # constants do not depend on how the indices are batched.
     d = np.arange(1, grid)
     dtheta = 2.0 * math.pi * d / grid
+    z = np.array([1.0 / math.sqrt(2.0)], dtype=complex)
+    x = np.clip(2.0 * (z * z.conj()).real - 1.0, -1.0, 1.0)
+    peaks = {}  # (l, m) -> (max dh / dtheta, max dh)
+    for k in range(max_degree + 1):
+        jac = jacobi_all((max_degree - k) // 2, 0.0, float(k), x)[:, 0]
+        for sign in (1, -1) if k else (1,):
+            zk = (z if sign > 0 else np.conj(z)) ** k
+            amp = np.array([abs(complex(h)) for h in zk * jac])
+            dh = (2.0 * amp)[:, None] * np.abs(np.sin(sign * k * dtheta / 2.0))
+            for j, peak in enumerate(zip((dh / dtheta).max(axis=1), dh.max(axis=1))):
+                peaks[(j + k, j) if sign > 0 else (j, j + k)] = peak
     report = HoelderScanReport("u2", max_degree, grid)
     worst = {"lipschitz": 0.0, "uniform": 0.0}
     for l in range(max_degree + 1):
         for m in range(max_degree + 1 - l):
-            amp = abs(spherical_u2(l, m, 1.0 / math.sqrt(2.0)))
-            k = l - m
-            dh = 2.0 * amp * np.abs(np.sin(k * dtheta / 2.0))
+            lip, unif = peaks[(l, m)]
             dim = l + m + 1
-            c_lip = (dh / dtheta).max() / dim ** 0.75
-            c_unif = dh.max() * dim ** 0.25 / 2.0
+            c_lip = lip / dim ** 0.75
+            c_unif = unif * dim ** 0.25 / 2.0
             worst["lipschitz"] = max(worst["lipschitz"], c_lip)
             worst["uniform"] = max(worst["uniform"], c_unif)
             report.rows.append(

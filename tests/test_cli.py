@@ -88,6 +88,23 @@ def test_solve_non_finite_exit(capsys, argv):
     assert json.loads(err)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "hyperbola", "--alpha", "1e308", "--a", "0.3", "--b", "0.5"],
+        ["solve", "bg", "--s", "1e308", "--t", "5e307"],
+        ["solve", "bg", "--s", "1000", "--t", "250"],
+    ],
+)
+def test_solve_out_of_double_range_exit(capsys, argv):
+    # overflowing or underflowing solutions exit 3 instead of printing
+    # Infinity/NaN or an underflowed gamma = 0
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "ArithmeticError"
+
+
 def test_kak_subcommand(tmp_path, capsys):
     rng = np.random.default_rng(0)
     g = sp.haar_k(rng) @ sp.weyl_element(1.1, 0.3) @ sp.haar_k(rng)

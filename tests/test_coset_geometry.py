@@ -205,6 +205,24 @@ def test_st_raises_below_normal_range():
             cg.solve_st(beta, gamma)
 
 
+@pytest.mark.parametrize(
+    "beta, gamma",
+    [
+        (6.965393270318438e-15, 6.965393270318438e-15 * 0.016955272500192468),
+        (3.374811239502465e-262, 5.740855859297162e-264),
+        (1.4310071101957207e-159, 2.4307166969105325e-161),
+        (5.281369658182901e-308, 0.0),
+        (5.502424211273932e-308, 2.311413600089772e-308),
+    ],
+)
+def test_st_tiny_roots_converge(beta, gamma):
+    # the bisection leaves these roots far below its midpoint: a plain Newton
+    # step used to overshoot towards 0 (or start subnormal and overflow the
+    # derivative) and stop with relative residuals up to 0.7
+    res = cg.residuals("st", (beta, gamma), cg.solve_st(beta, gamma))
+    assert all(abs(r) <= 1e-10 for r in res.values())
+
+
 # ---------------------------------------------------------------------------
 # solve_bg
 
@@ -216,6 +234,15 @@ def test_bg_trivial_cases():
     sigma = math.sinh(2.8) ** 2 + math.sinh(1.4) ** 2
     assert_allclose(math.sinh(beta) ** 2, sigma, rtol=1e-12)
     assert cg.solve_bg(0.0, 0.0) == (0.0, 0.0)
+
+
+def test_bg_raises_below_normal_range():
+    # gamma ~ e^-1250 underflows; t = 0 still gives gamma = 0 exactly
+    with pytest.raises(ArithmeticError, match="normal double range"):
+        cg.solve_bg(1000.0, 250.0)
+    assert cg.solve_bg(1000.0, 0.0) == (2000.0, 0.0)
+    beta, gamma = cg.solve_bg(300.0, 100.0)
+    assert sys.float_info.min < gamma < 1e-100
 
 
 def test_bg_rejects_bad_order():
@@ -265,6 +292,22 @@ def test_solvers_reject_non_finite(solver, bad):
     for args in bad:
         with pytest.raises(ValueError):
             solver(*args)
+
+
+@pytest.mark.parametrize(
+    "solver, args",
+    [
+        (cg.solve_hyperbola, (1e308, 0.3, 0.5)),
+        (cg.solve_circle, (1e308, 0.4)),
+        (cg.solve_st, (1e308, 1.0)),
+        (cg.solve_bg, (1e308, 5e307)),
+    ],
+    ids=["hyperbola", "circle", "st", "bg"],
+)
+def test_solvers_raise_on_overflow(solver, args):
+    # finite arguments whose doubles (2 alpha, 2 s, sinh^2) overflow
+    with pytest.raises(ArithmeticError, match="double range"):
+        solver(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,41 @@ def test_u2_index_set_is_max_degree_box(L):
     assert set(gf._u2_family_on(np.zeros(1, dtype=complex), L)) == want
 
 
+def _coefficients_u2_oracle(phi0, L: int, n_radial: int, n_angular: int) -> dict:
+    """<phi0, h_{l,m}> reduced index by index over the disc_quadrature nodes,
+    the family evaluated on a few thousand nodes at a time."""
+    z, w = gf.disc_quadrature(n_radial, n_angular)
+    wf = w * np.asarray(phi0(z), dtype=complex)
+    sums = {}
+    for part in np.array_split(np.arange(z.size), -(-z.size // 4096)):
+        for idx, h in gf._u2_family_on(z[part], L).items():
+            sums[idx] = sums.get(idx, 0.0) + np.sum(wf[part] * np.conj(h))
+    return {idx: complex(c) for idx, c in sorted(sums.items())}
+
+
+def _smooth_disc_function(z):
+    # not a polynomial in (z, conj z): every coefficient is nonzero
+    z = np.asarray(z, dtype=complex)
+    return np.exp(0.7 * z - 0.4j * np.conj(z) ** 2) / (1.5 - 0.3j * z * np.conj(z))
+
+
+@pytest.mark.parametrize(
+    "L, orders",
+    [(L, (None, None)) for L in (0, 1, 2, 5, 24)]
+    + [(L, (L + 1, 2 * L + 1)) for L in (0, 1, 2, 5, 24)]
+    + [(6, (9, 16))],
+)
+def test_u2_fft_coefficients_match_per_index_oracle(L, orders):
+    n_radial = orders[0] or max(4 * L, 8)
+    n_angular = orders[1] or max(8 * L + 1, 9)
+    spec = gf.coefficients_u2(_smooth_disc_function, L, *orders)
+    want = _coefficients_u2_oracle(_smooth_disc_function, L, n_radial, n_angular)
+    assert list(spec.coeffs) == list(want)
+    scale = max(abs(c) for c in want.values())
+    worst = max(abs(spec.coeffs[idx] - c) for idx, c in want.items())
+    assert worst <= 1e-14 * scale
+
+
 def test_u2_under_resolution_error():
     with pytest.raises(gf.UnderResolvedError):
         gf.coefficients_u2(ones, 8, n_radial=4, n_angular=65)

@@ -132,6 +132,65 @@ def test_su2_scan_degree_ten_bound():
     assert report.empirical_constants["uniform"] <= 4.0
 
 
+def _scan_su2_all_pairs(max_degree, grid):
+    """The su2 scan written over all grid pairs, one degree at a time."""
+    xs = np.linspace(-0.5, 0.5, grid)
+    vals = sf.legendre_all(max_degree, xs)
+    dx = np.abs(xs[:, None] - xs[None, :])
+    sqrt_dx = np.sqrt(dx)
+    np.fill_diagonal(dx, 1.0)
+    np.fill_diagonal(sqrt_dx, 1.0)
+    rows, violations = [], []
+    worst = {"uniform": 0.0, "lipschitz": 0.0, "holder_half": 0.0}
+    for n in range(1, max_degree + 1):
+        dp = np.abs(vals[n][:, None] - vals[n][None, :])
+        rn = math.sqrt(n)
+        per_n = {
+            "uniform": dp.max() * rn,
+            "lipschitz": (dp / dx).max() / rn,
+            "holder_half": (dp / sqrt_dx).max(),
+        }
+        n_bad = 0
+        if any(c > 4.0 + 1e-12 for c in per_n.values()):
+            bad = dp > 4.0 * sqrt_dx + 1e-12
+            bad |= dp > 4.0 * rn * dx + 1e-12
+            bad |= dp > 4.0 / rn + 1e-12
+            np.fill_diagonal(bad, False)
+            n_bad = int(bad.sum())
+            ii, jj = np.nonzero(bad)
+            for i, j in zip(ii[:16], jj[:16]):
+                violations.append({"n": n, "x": xs[i], "y": xs[j], "lhs": dp[i, j]})
+        for kind, c in per_n.items():
+            worst[kind] = max(worst[kind], c)
+            rows.append(
+                {"family": "su2", "l": "", "m_or_n": n, "bound_kind": kind,
+                 "empirical_C": c, "violations": n_bad}
+            )
+    return rows, violations, worst
+
+
+@pytest.mark.parametrize("max_degree, grid", [(1, 100), (8, 101), (10, 501), (60, 301), (100, 1001)])
+def test_su2_scan_matches_all_pairs_oracle_bitwise(max_degree, grid):
+    report = sf.hoelder_bound_check("su2", max_degree, grid)
+    rows, violations, worst = _scan_su2_all_pairs(max_degree, grid)
+    assert report.rows == rows
+    assert report.violations == violations == []
+    assert report.empirical_constants == worst
+
+
+def test_su2_scan_violation_listing_matches_oracle(monkeypatch):
+    # ten times the Legendre family breaks the constant-4 bounds at low degree
+    legendre = sf.legendre_all
+    monkeypatch.setattr(sf, "legendre_all", lambda nmax, x: 10.0 * legendre(nmax, x))
+    report = sf.hoelder_bound_check("su2", 12, 150)
+    rows, violations, worst = _scan_su2_all_pairs(12, 150)
+    assert violations and any(row["violations"] > 16 for row in rows)
+    assert report.violations == violations
+    assert [row["violations"] for row in report.rows] == [row["violations"] for row in rows]
+    assert report.rows == rows
+    assert report.empirical_constants == worst
+
+
 def test_u2_scan_stable_under_grid_doubling():
     c1 = sf.hoelder_bound_check("u2", 12, 128).empirical_c
     c2 = sf.hoelder_bound_check("u2", 12, 256).empirical_c

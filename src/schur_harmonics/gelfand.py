@@ -103,21 +103,6 @@ def disc_quadrature(n_radial: int, n_angular: int):
 # coefficient extraction
 
 
-def _u2_family_on(z: np.ndarray, L: int) -> dict:
-    """Evaluate every h_{l,m} with max(l, m) <= L on the flat array z."""
-    r2 = (z * z.conj()).real
-    x = np.clip(2.0 * r2 - 1.0, -1.0, 1.0)
-    vals = {}
-    for k in range(L + 1):
-        jac = jacobi_all(L - k, 0.0, float(k), x)
-        zk = z**k
-        for m in range(L + 1 - k):
-            vals[(m + k, m)] = zk * jac[m]
-            if k > 0:
-                vals[(m, m + k)] = np.conj(zk) * jac[m]
-    return vals
-
-
 def coefficients_u2(
     phi0, L: int = 24, n_radial: int | None = None, n_angular: int | None = None
 ) -> CoefficientSpectrum:
@@ -214,13 +199,32 @@ def synthesize(spec: CoefficientSpectrum):
 
         return phi0_su2
 
+    # By frequency, the transpose of coefficients_u2: row k holds c dim for
+    # (m+k, m) in plus[k] and for (m, m+k) in minus[k], m = 0..L-k, so the sum
+    # is z^k (plus[k] @ P^(0,k)) + conj(z)^k (minus[k] @ P^(0,k)) over k.
+    L = spec.truncation
+    plus = np.zeros((L + 1, L + 1), dtype=complex)
+    minus = np.zeros((L + 1, L + 1), dtype=complex)
+    for (l, m), c in items:
+        if max(l, m) > L:
+            raise ValueError(f"index {(l, m)} lies beyond truncation {L}")
+        if l >= m:
+            plus[l - m, m] = c * (l + m + 1)
+        else:
+            minus[m - l, l] = c * (l + m + 1)
+
     def phi0_u2(z):
         z = np.asarray(z, dtype=complex)
         flat = np.atleast_1d(z).ravel()
-        fam = _u2_family_on(flat, spec.truncation)
-        out = np.zeros(flat.size, dtype=complex)
-        for idx, c in items:
-            out += c * (idx[0] + idx[1] + 1) * fam[idx]
+        r2 = (flat * flat.conj()).real
+        if np.any(r2 > 1.0 + 1e-12):
+            raise ValueError("point outside the closed unit disc")
+        x = np.minimum(2.0 * r2 - 1.0, 1.0)  # r2 >= 0, so only the slack above 1 needs clipping
+        out = plus[0] @ jacobi_all(L, 0.0, 0.0, x)
+        for k in range(1, L + 1):
+            zk = flat if k == 1 else zk * flat
+            jac = jacobi_all(L - k, 0.0, float(k), x)
+            out += zk * (plus[k, : L + 1 - k] @ jac) + zk.conj() * (minus[k, : L + 1 - k] @ jac)
         return out.reshape(np.atleast_1d(z).shape) if z.ndim else complex(out[0])
 
     return phi0_u2
@@ -305,11 +309,9 @@ def kernel_schatten_norm(
 def haar_u2(rng: np.random.Generator, size: int = 1) -> np.ndarray:
     """Haar-random 2x2 unitaries via phase-normalized QR of Gaussians."""
     z = rng.standard_normal((size, 2, 2)) + 1j * rng.standard_normal((size, 2, 2))
-    out = np.empty_like(z)
-    for i in range(size):
-        q, r = np.linalg.qr(z[i])
-        out[i] = q * (np.diag(r) / np.abs(np.diag(r)))
-    return out
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
 
 
 def subgroup_sampler(name: str):
@@ -370,45 +372,41 @@ def k_average(
     ``points`` (entries phi_avg(g_i^{-1} g_j)).  The Monte Carlo error is
     O(n_samples^{-1/2}).
 
+    phi is called once, on the whole (n_samples, n_samples, n, n, 2, 2)
+    stack of conjugated grid values, and must map the trailing 2x2 axes to
+    one value each (entrywise numpy expressions do).
+
     When ``diag_p`` is given, a seeded subsample of at most ``diag_budget``
-    conjugate symbols is run through the ratio search and the largest
-    estimate is reported; by convexity the averaged symbol's multiplier
-    norm never exceeds the worst conjugate's.
+    (>= 1) conjugate symbols is run through the ratio search and the
+    largest estimate is reported; by convexity the averaged symbol's
+    multiplier norm never exceeds the worst conjugate's.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    if diag_p is not None and diag_budget < 1:
+        raise ValueError("diag_budget must be >= 1")
     pts = np.asarray(points, dtype=complex)
-    n = pts.shape[0]
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     sampler = subgroup_sampler(subgroup)
     ks = sampler(rng, n_samples)
     kps = sampler(rng, n_samples)
     # g_i^{-1} g_j for unitary grid points
     base = np.einsum("iba,jbc->ijac", pts.conj(), pts)
-    # k_r (g_i^{-1} g_j) k'_s, averaged over (r, s)
+    # k_r (g_i^{-1} g_j) k'_s for every sample pair (r, s)
     left = np.einsum("rab,ijbc->rijac", ks, base)
     conj_vals = np.einsum("rijab,sbc->rsijac", left, kps)
-    avg = np.zeros((n, n), dtype=complex)
-    for r in range(n_samples):
-        for s_idx in range(n_samples):
-            avg += np.asarray(phi(conj_vals[r, s_idx]), dtype=complex)
-    avg /= n_samples * n_samples
+    vals = np.broadcast_to(np.asarray(phi(conj_vals), dtype=complex), conj_vals.shape[:4])
+    avg = vals.sum(axis=(0, 1)) / (n_samples * n_samples)
 
-    max_norm = None
-    probed = 0
-    if diag_p is not None:
-        cfg = diag_cfg or SearchConfig(restarts=4)
-        pairs = [(r, s) for r in range(n_samples) for s in range(n_samples)]
-        idx = rng.permutation(len(pairs))[: min(diag_budget, len(pairs))]
-        max_norm = 0.0
-        for k in idx:
-            r, s_idx = pairs[int(k)]
-            sym = MultiplierSymbol(np.asarray(phi(conj_vals[r, s_idx]), dtype=complex))
-            max_norm = max(max_norm, ms_norm_lower(sym, diag_p, cfg).value)
-            probed += 1
-    return KAverageResult(MultiplierSymbol(avg), max_norm, probed)
-
-
-# phi in k_average is applied to stacked (..., 2, 2) arrays; grid values are
-# entrywise functions of the matrix, so implementations should accept that.
+    if diag_p is None:
+        return KAverageResult(MultiplierSymbol(avg))
+    cfg = diag_cfg or SearchConfig(restarts=4)
+    probes = rng.permutation(n_samples * n_samples)[:diag_budget]
+    max_norm = max(
+        ms_norm_lower(MultiplierSymbol(vals[divmod(int(k), n_samples)]), diag_p, cfg).value
+        for k in probes
+    )
+    return KAverageResult(MultiplierSymbol(avg), max_norm, len(probes))
 
 
 # ---------------------------------------------------------------------------

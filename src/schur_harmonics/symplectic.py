@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gelfand import haar_u2
+
 __all__ = [
     "J4",
     "KakTolerances",
@@ -248,14 +250,8 @@ def kak_decompose(g, tol: KakTolerances = DEFAULT_TOL) -> KakResult:
 
 
 def haar_k(rng: np.random.Generator) -> np.ndarray:
-    """Haar-random element of K, via a QR-orthonormalized complex Gaussian.
-
-    The R-diagonal phases are normalized so the unitary is Haar distributed.
-    """
-    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    q, r = np.linalg.qr(z)
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return embed_u2(q)
+    """Haar-random element of K: the embedding of one ``haar_u2`` draw."""
+    return embed_u2(haar_u2(rng)[0])
 
 
 def matrix_to_json(m) -> str:

@@ -116,9 +116,8 @@ def test_criterion_04_monotonicity_in_p():
 def test_criterion_05_orthogonality():
     t0 = time.perf_counter()
     z, w = gf.disc_quadrature(40, 81)
-    fam = gf._u2_family_on(z, 10)
-    idxs = sorted(fam)
-    h = np.array([fam[i] for i in idxs])
+    idxs = [(l, m) for l in range(11) for m in range(11)]
+    h = np.array([sf.spherical_u2(l, m, z) for l, m in idxs])
     gram = (h * w) @ h.conj().T
     target = np.diag([1.0 / (l + m + 1) for l, m in idxs])
     dev_u2 = float(np.abs(gram - target).max())

@@ -44,12 +44,16 @@ def test_u2_coordinate_function():
     assert rest <= 1e-10
 
 
+def _u2_box(L: int) -> list:
+    """Every (l, m) with max(l, m) <= L, in sorted order."""
+    return [(l, m) for l in range(L + 1) for m in range(L + 1)]
+
+
 def test_u2_orthogonality_validates_disc_density():
     L = 8
     z, w = gf.disc_quadrature(4 * L, 8 * L + 1)
-    fam = gf._u2_family_on(z, L)
-    idxs = sorted(fam)
-    h = np.array([fam[i] for i in idxs])
+    idxs = _u2_box(L)
+    h = np.array([spherical_u2(l, m, z) for l, m in idxs])
     gram = (h * w) @ h.conj().T
     target = np.diag([1.0 / (l + m + 1) for l, m in idxs])
     assert np.abs(gram - target).max() <= 1e-8
@@ -57,21 +61,14 @@ def test_u2_orthogonality_validates_disc_density():
 
 @pytest.mark.parametrize("L", range(5))
 def test_u2_index_set_is_max_degree_box(L):
-    want = {(l, m) for l in range(L + 1) for m in range(L + 1)}
-    assert set(gf.coefficients_u2(ones, L).coeffs) == want
-    assert set(gf._u2_family_on(np.zeros(1, dtype=complex), L)) == want
+    assert set(gf.coefficients_u2(ones, L).coeffs) == set(_u2_box(L))
 
 
 def _coefficients_u2_oracle(phi0, L: int, n_radial: int, n_angular: int) -> dict:
-    """<phi0, h_{l,m}> reduced index by index over the disc_quadrature nodes,
-    the family evaluated on a few thousand nodes at a time."""
+    """<phi0, h_{l,m}> reduced index by index over the disc_quadrature nodes."""
     z, w = gf.disc_quadrature(n_radial, n_angular)
     wf = w * np.asarray(phi0(z), dtype=complex)
-    sums = {}
-    for part in np.array_split(np.arange(z.size), -(-z.size // 4096)):
-        for idx, h in gf._u2_family_on(z[part], L).items():
-            sums[idx] = sums.get(idx, 0.0) + np.sum(wf[part] * np.conj(h))
-    return {idx: complex(c) for idx, c in sorted(sums.items())}
+    return {(l, m): complex(np.sum(wf * np.conj(spherical_u2(l, m, z)))) for l, m in _u2_box(L)}
 
 
 def _smooth_disc_function(z):
@@ -189,6 +186,66 @@ def test_roundtrip_su2():
     back = gf.coefficients_su2(gf.synthesize(spec), 6)
     err = max(abs(back.coeffs[n] - coeffs[n]) for n in coeffs)
     assert err <= 1e-9
+
+
+def _u2_sum_oracle(spec: gf.CoefficientSpectrum, z) -> np.ndarray:
+    """sum c dim h_{l,m}(z), one spherical_u2 call per index."""
+    flat = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
+    out = np.zeros(flat.size, dtype=complex)
+    for (l, m), c in spec.items():
+        out += c * (l + m + 1) * spherical_u2(l, m, flat)
+    return out
+
+
+@pytest.mark.parametrize("L", [0, 1, 2, 6, 24, 40])
+def test_synthesize_u2_matches_spherical_sum(L):
+    rng = np.random.default_rng(50 + L)
+    coeffs = {idx: complex(*rng.standard_normal(2)) for idx in _u2_box(L)}
+    spec = gf.CoefficientSpectrum("u2", coeffs, L)
+    phi = gf.synthesize(spec)
+    rad = np.sqrt(rng.uniform(0.0, 1.0, 300))
+    rad[:3] = (0.0, 1.0, 1.0 + 1e-13)  # centre, the boundary circle and the absorbed slack
+    z1 = rad * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 300))
+    for z in (z1, z1[:240].reshape(12, 20)):
+        got = phi(z)
+        assert got.shape == z.shape
+        want = _u2_sum_oracle(spec, z).reshape(z.shape)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    for z0 in (complex(z1[5]), complex(z1[1])):
+        got = phi(z0)
+        assert isinstance(got, complex)
+        want = complex(_u2_sum_oracle(spec, z0)[0])
+        assert abs(got - want) <= 1e-14 * max(abs(want), 1.0)
+
+
+def test_synthesize_u2_rejects_points_outside_disc():
+    phi = gf.synthesize(gf.CoefficientSpectrum("u2", {(1, 1): 1.0}, 1))
+    with pytest.raises(ValueError, match="closed unit disc"):
+        phi(1.5)
+    with pytest.raises(ValueError, match="closed unit disc"):
+        phi(np.array([0.2, 0.3j, 1.0 + 1e-11]))
+    assert_allclose(phi(1.0 + 1e-13), 3.0, rtol=1e-11)
+
+
+def test_synthesize_u2_rejects_index_beyond_truncation():
+    with pytest.raises(ValueError, match="beyond truncation"):
+        gf.synthesize(gf.CoefficientSpectrum("u2", {(3, 2): 1.0}, 2))
+
+
+def test_synthesize_u2_peak_memory():
+    import tracemalloc
+
+    L = 24
+    rng = np.random.default_rng(24)
+    coeffs = {idx: complex(*rng.standard_normal(2)) for idx in _u2_box(L)}
+    z, _ = gf.disc_quadrature(96, 193)
+    tracemalloc.start()
+    try:
+        gf.synthesize(gf.CoefficientSpectrum("u2", coeffs, L))(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +410,87 @@ def test_haar_u2_moments():
     assert abs(u11.mean()) <= 0.05
     assert abs((np.abs(u11) ** 2).mean() - 0.5) <= 0.02
     assert abs((np.abs(u11) ** 4).mean() - 1.0 / 3.0) <= 0.02
+
+
+def test_haar_u2_matches_per_sample_qr():
+    z_rng, rng = np.random.default_rng(11), np.random.default_rng(11)
+    size = 500
+    z = z_rng.standard_normal((size, 2, 2)) + 1j * z_rng.standard_normal((size, 2, 2))
+    want = np.empty_like(z)
+    for i in range(size):
+        q, r = np.linalg.qr(z[i])
+        want[i] = q * (np.diag(r) / np.abs(np.diag(r)))
+    assert np.array_equal(gf.haar_u2(rng, size), want)
+
+
+def _k_average_oracle(phi, pts, n_samples, seed, subgroup, budget=None):
+    """k_average with one phi call per sample pair; with a budget, also the
+    symbols of the pairs the probe permutation picks, in its order."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    sampler = gf.subgroup_sampler(subgroup)
+    ks, kps = sampler(rng, n_samples), sampler(rng, n_samples)
+    avg = np.zeros((len(pts), len(pts)), dtype=complex)
+    vals = {}
+    for r in range(n_samples):
+        for s in range(n_samples):
+            g = np.array([[ks[r] @ a.conj().T @ b @ kps[s] for b in pts] for a in pts])
+            vals[(r, s)] = np.asarray(phi(g), dtype=complex)
+            avg += vals[(r, s)]
+    avg /= n_samples * n_samples
+    if budget is None:
+        return avg, []
+    pairs = [(r, s) for r in range(n_samples) for s in range(n_samples)]
+    return avg, [vals[pairs[int(k)]] for k in rng.permutation(len(pairs))[: min(budget, len(pairs))]]
+
+
+_K_AVERAGE_PHIS = {
+    "u1": lambda g: 0.3 * g[..., 0, 0] + (0.2 - 0.5j) * g[..., 0, 0] ** 2 + np.abs(g[..., 1, 1]) ** 2,
+    "so2": lambda g: (g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0])
+    + 0.4j * np.einsum("...ij,...ij->...", g, g),
+    "u2": lambda g: np.abs(g[..., 0, 0]) ** 2 + 0.4 * g[..., 1, 0] * np.conj(g[..., 0, 1]),
+}
+
+
+@pytest.mark.parametrize("subgroup", sorted(_K_AVERAGE_PHIS))
+def test_k_average_matches_per_pair_loop(monkeypatch, subgroup):
+    phi = _K_AVERAGE_PHIS[subgroup]
+    pts = gf.haar_u2(np.random.default_rng(12), 5)
+    res = gf.k_average(phi, pts, 7, seed=13, subgroup=subgroup)
+    want, _ = _k_average_oracle(phi, pts, 7, 13, subgroup)
+    assert res.max_conjugate_norm is None and res.conjugates_probed == 0
+    assert np.abs(res.symbol.values - want).max() <= 1e-15 * np.abs(want).max()
+
+    probes, norms = [], []
+
+    def recording_search(sym, p, cfg):
+        probes.append(sym.values)
+        est = sc.ms_norm_lower(sym, p, cfg)
+        norms.append(est.value)
+        return est
+
+    monkeypatch.setattr(gf, "ms_norm_lower", recording_search)
+    cfg = sc.SearchConfig(restarts=2, max_iter=60, seed=3)
+    res = gf.k_average(phi, pts[:3], 3, seed=14, subgroup=subgroup, diag_p=3.0, diag_cfg=cfg, diag_budget=5)
+    want, want_probes = _k_average_oracle(phi, pts[:3], 3, 14, subgroup, 5)
+    assert np.abs(res.symbol.values - want).max() <= 1e-15 * np.abs(want).max()
+    assert res.conjugates_probed == len(probes) == len(want_probes) == 5
+    for got, w in zip(probes, want_probes):
+        assert np.abs(got - w).max() <= 1e-15 * np.abs(w).max()
+    assert res.max_conjugate_norm == max(norms)
+
+
+def test_k_average_rejects_empty_sample():
+    pts = gf.haar_u2(np.random.default_rng(15), 2)
+    with pytest.raises(ValueError, match="n_samples"):
+        gf.k_average(lambda m: m[..., 0, 0], pts, 0, seed=1)
+
+
+def test_k_average_rejects_empty_probe_budget():
+    pts = gf.haar_u2(np.random.default_rng(16), 2)
+    with pytest.raises(ValueError, match="diag_budget"):
+        gf.k_average(lambda m: m[..., 0, 0], pts, 4, seed=1, diag_p=3.0, diag_budget=-1)
+    with pytest.raises(ValueError, match="diag_budget"):
+        gf.k_average(lambda m: m[..., 0, 0], pts, 4, seed=1, diag_p=3.0, diag_budget=0)
 
 
 def test_k_average_fixed_point():

@@ -54,6 +54,15 @@ def test_embed_recover_roundtrip():
     assert np.linalg.norm(sp.embed_u2(check.u) - k) <= 1e-12
 
 
+def test_haar_k_matches_phase_normalized_qr():
+    z_rng, rng = np.random.default_rng(2), np.random.default_rng(2)
+    for _ in range(50):
+        z = z_rng.standard_normal((2, 2)) + 1j * z_rng.standard_normal((2, 2))
+        q, r = np.linalg.qr(z)
+        want = sp.embed_u2(q * (np.diag(r) / np.abs(np.diag(r))))
+        assert np.array_equal(sp.haar_k(rng), want)
+
+
 def test_symplectic_check_diagnostics():
     check = sp.symplectic_check(np.eye(4))
     assert check.in_g and check.in_k

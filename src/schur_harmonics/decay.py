@@ -22,6 +22,7 @@ moves nothing above 1e-10 relative.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
 from dataclasses import dataclass, field
@@ -48,6 +49,8 @@ class DecaySample:
     phi_inf: complex = 0.0
 
     def __post_init__(self):
+        if not all(map(cmath.isfinite, (self.alpha1, self.alpha2, self.value, self.phi_inf))):
+            raise ValueError("sample alphas, value and phi_inf must be finite")
         if self.alpha1 < self.alpha2 - 1e-12 or self.alpha2 < -1e-12:
             raise ValueError("sample point must lie in the closed chamber")
 

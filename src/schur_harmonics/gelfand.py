@@ -22,6 +22,7 @@ dual route checked by the tests.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import json
 from dataclasses import dataclass
@@ -186,12 +187,17 @@ def lp_lower_bound(spec: CoefficientSpectrum, p: float) -> float:
 
 def synthesize(spec: CoefficientSpectrum):
     """Evaluator of the finite sum  sum c dim h  matching the pair tag."""
+    L = spec.truncation
     items = sorted(spec.items())
+    for idx, _ in items:
+        ends = idx if spec.pair == "u2" else (idx,)
+        if min(ends) < 0 or max(ends) > L:
+            raise ValueError(f"index {idx} lies below 0 or beyond truncation {L}")
     if spec.pair == "su2":
 
         def phi0_su2(r):
             r = np.asarray(r, dtype=float)
-            vals = legendre_all(spec.truncation, np.atleast_1d(r))
+            vals = legendre_all(L, np.atleast_1d(r))
             out = np.zeros(vals.shape[1], dtype=complex)
             for n, c in items:
                 out += c * (2 * n + 1) * vals[n]
@@ -202,12 +208,9 @@ def synthesize(spec: CoefficientSpectrum):
     # By frequency, the transpose of coefficients_u2: row k holds c dim for
     # (m+k, m) in plus[k] and for (m, m+k) in minus[k], m = 0..L-k, so the sum
     # is z^k (plus[k] @ P^(0,k)) + conj(z)^k (minus[k] @ P^(0,k)) over k.
-    L = spec.truncation
     plus = np.zeros((L + 1, L + 1), dtype=complex)
     minus = np.zeros((L + 1, L + 1), dtype=complex)
     for (l, m), c in items:
-        if max(l, m) > L:
-            raise ValueError(f"index {(l, m)} lies beyond truncation {L}")
         if l >= m:
             plus[l - m, m] = c * (l + m + 1)
         else:
@@ -432,6 +435,8 @@ def spectrum_from_json(text: str) -> CoefficientSpectrum:
     for row in obj["coeffs"]:
         idx = (row["l"], row["m"]) if pair == "u2" else row["n"]
         coeffs[idx] = complex(row["re"], row["im"])
+        if not cmath.isfinite(coeffs[idx]):
+            raise ValueError(f"coefficient {idx} is not finite")
     return CoefficientSpectrum(pair, coeffs, obj["truncation"])
 
 

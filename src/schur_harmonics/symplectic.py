@@ -5,13 +5,18 @@ The maximal compact subgroup K consists of the matrices [[A, -B], [B, A]]
 with A + iB unitary, and the positive Weyl chamber is the set of diagonals
 D(a1, a2) = diag(e^a1, e^a2, e^-a1, e^-a2) with a1 >= a2 >= 0.
 
-The KAK decomposition works on the eigendecomposition of g^T g.  Generic
-SVD does not return orthogonal factors that are also symplectic, so the
-essential step is re-pairing eigenvectors across reciprocal eigenvalues
-with the symplectic form: if v is a unit eigenvector for lambda, then -Jv
-is exactly the partner eigenvector for 1/lambda, and enforcing that pairing
-keeps the compact factors in K even when eigenvalues cluster at the chamber
-walls.
+The KAK decomposition takes one SVD of g.  Its singular values come in
+reciprocal pairs e^(+-a1), e^(+-a2), but the orthogonal factors LAPACK
+returns need not lie in K, so only the two large singular values and
+their right singular vectors are read: if v is a unit singular vector for
+s, then -Jv is exactly the partner for 1/s.  Completing the two large
+vectors with their -J partners keeps the compact factors in K, also where
+singular values cluster at the chamber walls, and never touches the small
+singular values, whose absolute error eps e^a1 would swamp e^-a1.  In
+double precision the decomposition is tested for a1 <= 15; beyond that
+the relative residual grows like eps e^(a1 - a2), at worst eps e^a1, until
+DecompositionError is raised.  Tolerances are module constants and scale
+with ||g||.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from .gelfand import haar_u2
 
 __all__ = [
     "J4",
-    "KakTolerances",
     "SymplecticError",
     "DecompositionError",
     "KakResult",
@@ -39,7 +43,6 @@ __all__ = [
     "d_alpha_prime",
     "su2_element",
     "v_element",
-    "special_element",
     "symplectic_check",
     "kak_decompose",
     "haar_k",
@@ -61,20 +64,16 @@ class DecompositionError(ArithmeticError):
     """Raised when a decomposition residual exceeds tolerance."""
 
 
-@dataclass(frozen=True)
-class KakTolerances:
-    """All numeric thresholds of this module in one place."""
-
-    symplectic: float = 1e-9
-    residual: float = 1e-8
-    k_membership: float = 1e-9
-    # a swept q2 candidate below this norm sits in span(q1, J q1) and the
-    # next eigenvector is tried instead (only happens inside eigenvalue
-    # clusters, where any cluster vector is equally valid)
-    sweep_min_norm: float = 1e-3
-
-
-DEFAULT_TOL = KakTolerances()
+# g^T J g - J relative to max(1, ||g||_F^2); see symplectic_check
+SYMPLECTIC_TOL = 1e-9
+# g^T g - I for elements of K (absolute: ||k||_F^2 = 4)
+K_TOL = 1e-9
+# ||k1 D k2 - g||_F / ||g||_F above this raises DecompositionError
+RESIDUAL_TOL = 1e-8
+# a swept q2 candidate below this norm sits in span(q1, J q1) and the next
+# singular vector is tried instead (only inside singular-value clusters,
+# where any cluster vector is equally valid)
+SWEEP_MIN_NORM = 1e-3
 
 
 @dataclass
@@ -106,8 +105,11 @@ def embed_u2(u) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
-    a, b = u.real, u.imag
-    return np.block([[a, -b], [b, a]])
+    k = np.empty((4, 4))  # filled in place: np.block costs 3x as long at this size
+    k[:2, :2] = k[2:, 2:] = u.real
+    k[2:, :2] = u.imag
+    k[:2, 2:] = -u.imag
+    return k
 
 
 def recover_u2(k) -> np.ndarray:
@@ -160,91 +162,78 @@ def v_element() -> np.ndarray:
     return embed_u2(np.diag([c, c]))
 
 
-def special_element(kind: str, **params) -> np.ndarray:
-    """Dispatch for the distinguished elements by name.
+def symplectic_check(g) -> CheckResult:
+    """Frobenius defects from the group and from its maximal compact.
 
-    kind is one of "weyl" (alpha1, alpha2), "d" (alpha), "d_prime" (alpha),
-    "u" (a, b), "v".
+    g^T J g - J rounds to about eps ||g||^2, so membership in G is relative:
+    defect <= SYMPLECTIC_TOL max(1, ||g||_F^2).
     """
-    if kind == "weyl":
-        return weyl_element(params["alpha1"], params["alpha2"])
-    if kind == "d":
-        return d_alpha(params["alpha"])
-    if kind == "d_prime":
-        return d_alpha_prime(params["alpha"])
-    if kind == "u":
-        return su2_element(params["a"], params["b"])
-    if kind == "v":
-        return v_element()
-    raise ValueError(f"unknown element kind {kind!r}")
-
-
-def symplectic_check(g, tol: KakTolerances = DEFAULT_TOL) -> CheckResult:
-    """Frobenius defects from the group and from its maximal compact."""
     g = np.asarray(g, dtype=float)
     if g.shape != (4, 4):
         raise ValueError("expected a 4x4 real matrix")
     d_sympl = float(np.linalg.norm(g.T @ J4 @ g - J4))
     d_orth = float(np.linalg.norm(g.T @ g - np.eye(4)))
-    in_g = d_sympl <= tol.symplectic
-    in_k = in_g and d_orth <= tol.k_membership
+    in_g = d_sympl <= SYMPLECTIC_TOL * max(1.0, float(np.linalg.norm(g)) ** 2)
+    in_k = in_g and d_orth <= K_TOL
     u = None
     if in_k:
         u = recover_u2(g)
     return CheckResult(in_g, in_k, d_sympl, d_orth, u)
 
 
-def _symplectic_sweep(q1: np.ndarray, cand: np.ndarray, min_norm: float):
+def _symplectic_sweep(q1: np.ndarray, cand: np.ndarray):
     """Remove the span(q1, J q1) component and renormalize; None if degenerate."""
     jq1 = J4 @ q1
     w = cand - (q1 @ cand) * q1 - (jq1 @ cand) * jq1
     nw = np.linalg.norm(w)
-    if nw < min_norm:
+    if nw < SWEEP_MIN_NORM:
         return None
     return w / nw
 
 
-def kak_decompose(g, tol: KakTolerances = DEFAULT_TOL) -> KakResult:
+def _with_j_partners(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """The columns [x1, x2, -J x1, -J x2]; in K when x1, x2 are orthonormal
+    and x2 is orthogonal to J x1."""
+    return np.column_stack([x1, x2, -J4 @ x1, -J4 @ x2])
+
+
+def kak_decompose(g) -> KakResult:
     """Decompose g = k1 D(a1, a2) k2 with k1, k2 in K and a1 >= a2 >= 0.
 
-    The chamber part is unique; it is read off the eigenvalues of g^T g,
-    with reciprocal pairs averaged in log scale.  The diagonalizer is forced
-    into K by pairing each eigenvector v with -Jv for the reciprocal
-    eigenvalue, so it stays orthogonal-symplectic through eigenvalue
-    clusters at the chamber walls.  A residual above tolerance raises; it is
-    never silently returned.
+    From one SVD of g: a1 = log s1 and a2 = max(0, log s2).  k2^T has the
+    columns [q1, q2, -J q1, -J q2], q1 the top right singular vector and q2
+    the first later one with a unit part off span(q1, J q1) (inside a
+    cluster at a chamber wall any such vector serves); k1 has the columns
+    [g q1 e^-a1, g q2 e^-a2] completed the same way; both are projected to
+    K.  The relative residual ||k1 D k2 - g||_F / ||g||_F is returned, or
+    DecompositionError raised above RESIDUAL_TOL.
     """
     g = np.asarray(g, dtype=float)
-    check = symplectic_check(g, tol)
+    check = symplectic_check(g)
     if not check.in_g:
         raise SymplecticError(
             f"input is not symplectic (defect {check.symplectic_defect:.3e})"
         )
-    s = g.T @ g
-    s = (s + s.T) / 2.0
-    lam, vecs = np.linalg.eigh(s)
-    lam = np.clip(lam, 1e-300, None)
-    alpha1 = 0.25 * (math.log(lam[3]) - math.log(lam[0]))
-    alpha2 = max(0.0, 0.25 * (math.log(lam[2]) - math.log(lam[1])))
-
-    q1 = vecs[:, 3]
-    q2 = None
-    for idx in (2, 1, 0):
-        q2 = _symplectic_sweep(q1, vecs[:, idx], tol.sweep_min_norm)
-        if q2 is not None:
-            break
+    _, s, vt = np.linalg.svd(g)
+    alpha1 = math.log(s[0])
+    alpha2 = max(0.0, math.log(s[1]))
+    q1 = vt[0]
+    q2 = next(
+        (q for q in (_symplectic_sweep(q1, v) for v in vt[1:]) if q is not None),
+        None,
+    )
     if q2 is None:
-        raise DecompositionError("failed to build a symplectic eigenbasis")
-    q_mat = np.column_stack([q1, q2, -J4 @ q1, -J4 @ q2])
-
-    k2, u2 = project_to_k(q_mat.T)
-    a = weyl_element(alpha1, alpha2)
-    a_inv = weyl_element(-alpha1, -alpha2)
-    k1, u1 = project_to_k(g @ k2.T @ a_inv)
-    residual = float(np.linalg.norm(k1 @ a @ k2 - g))
-    if residual > tol.residual:
+        raise DecompositionError("failed to build a symplectic singular basis")
+    k2, u2 = project_to_k(_with_j_partners(q1, q2).T)
+    k1, u1 = project_to_k(
+        _with_j_partners(g @ q1 / math.exp(alpha1), g @ q2 / math.exp(alpha2))
+    )
+    residual = float(
+        np.linalg.norm(k1 @ weyl_element(alpha1, alpha2) @ k2 - g) / math.hypot(*s)
+    )
+    if residual > RESIDUAL_TOL:
         raise DecompositionError(
-            f"decomposition residual {residual:.3e} exceeds {tol.residual:.1e}"
+            f"relative decomposition residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}"
         )
     return KakResult(k1, k2, u1, u2, alpha1, alpha2, residual)
 

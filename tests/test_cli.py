@@ -127,6 +127,21 @@ def test_kak_rejects_non_symplectic(tmp_path, capsys):
     assert "SymplecticError" in err
 
 
+def test_kak_subcommand_wide_chamber(tmp_path, capsys):
+    # rounding in g^T J g is about 2e-9 here, above an absolute 1e-9
+    rng = np.random.default_rng(0)
+    g = sp.haar_k(rng) @ sp.weyl_element(9.0, 2.0) @ sp.haar_k(rng)
+    src = tmp_path / "g.json"
+    src.write_text(sp.matrix_to_json(g))
+    code, out, _ = run(capsys, "kak", "--in", str(src))
+    assert code == 0
+    payload = json.loads(out)
+    assert_allclose((payload["alpha1"], payload["alpha2"]), (9.0, 2.0), rtol=1e-12)
+    assert payload["residual"] <= 1e-12
+    for k in (payload["k1"], payload["k2"]):
+        assert sp.symplectic_check(k).in_k
+
+
 def test_norm_subcommand(tmp_path, capsys):
     rng = np.random.default_rng(1)
     psi = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -195,6 +210,26 @@ def test_coeffs_subcommand(tmp_path, capsys):
     assert csv_path.read_text().startswith("pair,")
 
 
+@pytest.mark.parametrize(
+    "pair, row, message",
+    [
+        ("su2", {"n": 5, "re": 1.0, "im": 0.0}, "index 5 lies below 0 or beyond truncation 2"),
+        ("u2", {"l": 3, "m": 0, "re": 1.0, "im": 0.0}, "index (3, 0) lies below 0 or beyond truncation 2"),
+        ("su2", {"n": 1, "re": float("nan"), "im": 0.0}, "coefficient 1 is not finite"),
+    ],
+    ids=["su2-index", "u2-index", "nan-coefficient"],
+)
+def test_coeffs_rejects_malformed_spectrum(tmp_path, capsys, pair, row, message):
+    src = tmp_path / "spec.json"
+    src.write_text(json.dumps({"pair": pair, "truncation": 2, "coeffs": [row]}))
+    code, out, err = run(
+        capsys, "coeffs", "--family", pair, "-L", "2", "--spectrum", str(src)
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
 def test_coeffs_needs_exactly_one_source(capsys):
     code, _, err = run(capsys, "coeffs", "--family", "su2", "-L", "2")
     assert code == 2
@@ -234,6 +269,26 @@ def test_certify_subcommand(tmp_path, capsys):
     assert payload["series_terms"] == 4096
 
 
+@pytest.mark.parametrize(
+    "sample, phi_inf",
+    [
+        ({"alpha1": float("nan"), "alpha2": 0.0, "re": 1.0}, {}),
+        ({"alpha1": 10.0, "alpha2": 0.0, "re": float("inf")}, {}),
+        ({"alpha1": 10.0, "alpha2": 0.0, "re": 1.0}, {"re": float("nan")}),
+    ],
+    ids=["nan-alpha1", "inf-value", "nan-phi-inf"],
+)
+def test_certify_rejects_non_finite_samples(tmp_path, capsys, sample, phi_inf):
+    src = tmp_path / "samples.json"
+    src.write_text(json.dumps({"phi_inf": phi_inf, "samples": [sample]}))
+    code, out, err = run(
+        capsys, "certify", "--samples", str(src), "--p", "24", "--c-u2", "1.0"
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
 def test_xcheck_subcommand(tmp_path, capsys):
     out = tmp_path / "x.csv"
     code, text, _ = run(
@@ -248,6 +303,13 @@ def test_xcheck_subcommand(tmp_path, capsys):
     code, _, err = run(capsys, "xcheck", "--count", "4", "--seed", "1", "--tol", "0")
     assert code == 3
     assert json.loads(err)["error"] == "NumericFailure"
+
+
+def test_xcheck_passes_for_seeds_1_to_100(capsys):
+    for seed in range(1, 101):
+        code, text, _ = run(capsys, "xcheck", "--count", "8", "--seed", str(seed))
+        assert code == 0, seed
+        assert json.loads(text)["worst_err"] <= 1e-6
 
 
 def test_xcheck_deterministic(tmp_path, capsys):

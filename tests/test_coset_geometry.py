@@ -464,3 +464,28 @@ def test_solvers_match_kak_randomized():
         g = sp.d_alpha_prime(alpha) @ u @ sp.v_element() @ sp.d_alpha_prime(alpha)
         res = sp.kak_decompose(g)
         assert max(abs(res.alpha1 - beta), abs(res.alpha2 - gamma)) <= 1e-6
+
+
+def test_solvers_match_kak_up_to_alpha_10():
+    """Relative agreement 1e-9 over the chamber reached from alpha <= 10
+    (a1 up to 20 on the hyperbola), not only alpha <= 2.5."""
+    rng = np.random.default_rng(10)
+    for _ in range(100):
+        alpha = rng.uniform(0, 10)
+        theta = rng.uniform(0, 2 * np.pi)
+        rad = math.sqrt(rng.uniform(0, 1))
+        a, b = rad * math.cos(theta), rad * math.sin(theta)
+        want = cg.solve_hyperbola(alpha, a, b)
+        res = sp.kak_decompose(sp.d_alpha(alpha) @ sp.su2_element(a, b) @ sp.d_alpha(alpha))
+        assert_allclose(res.alpha, want, rtol=1e-9, atol=1e-9)
+        v = rng.standard_normal(4)
+        v /= np.linalg.norm(v)
+        want = cg.solve_circle(alpha, cg.su2_label(*v))
+        u = sp.embed_u2(
+            np.array(
+                [[v[0] + 1j * v[1], -v[2] + 1j * v[3]],
+                 [v[2] + 1j * v[3], v[0] - 1j * v[1]]]
+            )
+        )
+        g = sp.d_alpha_prime(alpha) @ u @ sp.v_element() @ sp.d_alpha_prime(alpha)
+        assert_allclose(sp.kak_decompose(g).alpha, want, rtol=1e-9, atol=1e-9)

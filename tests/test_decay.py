@@ -166,6 +166,22 @@ def test_sample_must_sit_in_chamber():
         decay.DecaySample(1.0, -0.5, 0.0)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        (math.nan, 0.0, 1.0),
+        (1.0, math.nan, 1.0),
+        (math.inf, 0.0, 1.0),
+        (1.0, 0.0, complex(math.inf, 0.0)),
+        (1.0, 0.0, complex(0.0, math.nan)),
+        (1.0, 0.0, 1.0, math.nan),
+    ],
+)
+def test_sample_must_be_finite(fields):
+    with pytest.raises(ValueError, match="finite"):
+        decay.DecaySample(*fields)
+
+
 def test_constants_table_csv(tmp_path):
     rows = decay.constants_table([12.5, 24.0, 48.0], 1.0)
     path = tmp_path / "constants.csv"

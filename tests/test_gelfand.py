@@ -232,6 +232,14 @@ def test_synthesize_u2_rejects_index_beyond_truncation():
         gf.synthesize(gf.CoefficientSpectrum("u2", {(3, 2): 1.0}, 2))
 
 
+@pytest.mark.parametrize("pair, idx", [("su2", 5), ("su2", -1), ("u2", (1, -1))])
+def test_synthesize_rejects_index_outside_truncation(pair, idx):
+    # su2 indexed past the Legendre rows (IndexError) or wrapped round to the
+    # last row; u2 wrapped (1, -1) round to a frequency-2 entry
+    with pytest.raises(ValueError, match="below 0 or beyond truncation"):
+        gf.synthesize(gf.CoefficientSpectrum(pair, {idx: 1.0}, 2))
+
+
 def test_synthesize_u2_peak_memory():
     import tracemalloc
 
@@ -556,6 +564,13 @@ def test_spectrum_json_roundtrip():
     assert back.pair == "u2" and back.truncation == 2
     for idx in coeffs:
         assert_allclose(back.coeffs[idx], coeffs[idx])
+
+
+@pytest.mark.parametrize("re, im", [(float("nan"), 0.0), (0.0, float("inf"))])
+def test_spectrum_from_json_rejects_non_finite(re, im):
+    text = gf.spectrum_to_json(gf.CoefficientSpectrum("su2", {0: 1.0, 1: complex(re, im)}, 1))
+    with pytest.raises(ValueError, match="not finite"):
+        gf.spectrum_from_json(text)
 
 
 def test_spectrum_csv(tmp_path):

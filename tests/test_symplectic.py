@@ -2,8 +2,11 @@
 
 import json
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
 from schur_harmonics import symplectic as sp
@@ -135,6 +138,89 @@ def test_kak_roundtrip_random_and_degenerate():
             assert sp.symplectic_check(k).in_k
             assert np.linalg.norm(u.conj().T @ u - np.eye(2)) <= 1e-9
             assert np.linalg.norm(sp.embed_u2(u) - k) <= 1e-9
+
+
+def _wide_chamber_cases(rng, a_max, n):
+    """n chamber pairs with a1 <= a_max: generic, and every fourth on a wall
+    (a1 = a2, a2 = 0, or the origin in turn)."""
+    walls = [lambda a1: (a1, a1), lambda a1: (a1, 0.0), lambda a1: (0.0, 0.0)]
+    cases = []
+    for i in range(n):
+        a1 = rng.uniform(0.0, a_max)
+        if i % 4 == 3:
+            cases.append(walls[(i // 4) % 3](a1))
+        else:
+            cases.append((a1, rng.uniform(0.0, a1)))
+    return cases + [(a_max, a_max), (a_max, 0.0)]
+
+
+@pytest.mark.parametrize("a_max", [3.0, 5.0, 8.0, 10.0, 15.0])
+def test_kak_alphas_match_mpmath_singular_values(a_max):
+    """alpha = log of the two large singular values of the same float g,
+    computed to 50 digits; the float SVD's error is eps e^a1 absolute in
+    each singular value, so the comparison is relative to max(1, a1)."""
+    rng = np.random.default_rng(int(a_max))
+    for a1, a2 in _wide_chamber_cases(rng, a_max, 24):
+        g = sp.haar_k(rng) @ sp.weyl_element(a1, a2) @ sp.haar_k(rng)
+        res = sp.kak_decompose(g)
+        with mpmath.workdps(50):
+            s = mpmath.svd_r(mpmath.matrix(g.tolist()), compute_uv=False)
+            want1, want2 = float(mpmath.log(s[0])), max(0.0, float(mpmath.log(s[1])))
+        tol = 1e-10 * max(1.0, a1)
+        assert abs(res.alpha1 - want1) <= tol
+        assert abs(res.alpha2 - want2) <= tol
+
+
+@given(
+    hst.floats(0.0, 15.0),
+    hst.floats(0.0, 1.0),
+    hst.sampled_from(["interior", "a1 = a2", "a2 = 0", "origin"]),
+    hst.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_kak_wide_chamber_property(a1, frac, where, seed):
+    a1, a2 = {
+        "interior": (a1, a1 * frac), "a1 = a2": (a1, a1), "a2 = 0": (a1, 0.0), "origin": (0.0, 0.0)
+    }[where]
+    rng = np.random.default_rng(seed)
+    g = sp.haar_k(rng) @ sp.weyl_element(a1, a2) @ sp.haar_k(rng)
+    res = sp.kak_decompose(g)
+    assert res.residual <= 1e-9
+    assert res.residual == pytest.approx(
+        np.linalg.norm(res.k1 @ sp.weyl_element(*res.alpha) @ res.k2 - g) / np.linalg.norm(g),
+        rel=1e-12,
+    )
+    for k, u in ((res.k1, res.u1), (res.k2, res.u2)):
+        assert sp.symplectic_check(k).in_k
+        assert np.linalg.norm(sp.embed_u2(u) - k) <= 1e-9
+
+
+def test_kak_wide_chamber_raises_nowhere_to_a1_15():
+    rng = np.random.default_rng(1)
+    for a_max in (3.0, 5.0, 8.0, 10.0, 15.0):
+        for a1, a2 in _wide_chamber_cases(rng, a_max, 200):
+            g = sp.haar_k(rng) @ sp.weyl_element(a1, a2) @ sp.haar_k(rng)
+            assert sp.kak_decompose(g).residual <= 1e-9
+
+
+def test_kak_beyond_double_precision_raises():
+    """At a1 = 30 on the wall a2 = 0 the relative residual is about eps e^30;
+    the decomposition raises instead of returning it."""
+    rng = np.random.default_rng(30)
+    for _ in range(5):
+        g = sp.haar_k(rng) @ sp.weyl_element(30.0, 0.0) @ sp.haar_k(rng)
+        assert sp.symplectic_check(g).in_g
+        with pytest.raises(sp.DecompositionError, match="relative decomposition residual"):
+            sp.kak_decompose(g)
+
+
+def test_symplectic_check_scales_with_norm():
+    rng = np.random.default_rng(9)
+    g = sp.haar_k(rng) @ sp.weyl_element(9.0, 4.0) @ sp.haar_k(rng)
+    check = sp.symplectic_check(g)
+    assert check.symplectic_defect > 1e-9  # rounding in g^T J g is eps ||g||^2
+    assert check.in_g and not check.in_k
+    assert not sp.symplectic_check(g @ np.diag([2.0, 1.0, 1.0, 1.0])).in_g
 
 
 def test_kak_chamber_part_unique():

@@ -179,8 +179,12 @@ def _cmd_constants(args) -> int:
 
 def _cmd_certify(args) -> int:
     obj = json.loads(_read(args.samples))
-    phi_inf = complex(obj.get("phi_inf", {}).get("re", 0.0),
-                      obj.get("phi_inf", {}).get("im", 0.0))
+    phi_inf = obj.get("phi_inf", {})
+    if not isinstance(phi_inf, dict):
+        raise ValueError("phi_inf must be an object with fields re and im")
+    if not isinstance(obj["samples"], list):
+        raise ValueError("samples must be a list")
+    phi_inf = complex(phi_inf.get("re", 0.0), phi_inf.get("im", 0.0))
     samples = [
         decay.DecaySample(
             s["alpha1"], s["alpha2"], complex(s["re"], s.get("im", 0.0)), phi_inf

@@ -428,16 +428,28 @@ def spectrum_to_json(spec: CoefficientSpectrum) -> str:
     return json.dumps({"pair": spec.pair, "truncation": spec.truncation, "coeffs": rows})
 
 
+def _json_int(value, what: str) -> int:
+    # JSON true/false load as bool, a subclass of int
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def spectrum_from_json(text: str) -> CoefficientSpectrum:
     obj = json.loads(text)
     pair = obj["pair"]
+    if not isinstance(obj["coeffs"], list):
+        raise ValueError("coeffs must be a list")
     coeffs = {}
     for row in obj["coeffs"]:
-        idx = (row["l"], row["m"]) if pair == "u2" else row["n"]
+        if pair == "u2":
+            idx = (_json_int(row["l"], "index"), _json_int(row["m"], "index"))
+        else:
+            idx = _json_int(row["n"], "index")
         coeffs[idx] = complex(row["re"], row["im"])
         if not cmath.isfinite(coeffs[idx]):
             raise ValueError(f"coefficient {idx} is not finite")
-    return CoefficientSpectrum(pair, coeffs, obj["truncation"])
+    return CoefficientSpectrum(pair, coeffs, _json_int(obj["truncation"], "truncation"))
 
 
 def spectrum_to_csv(spec: CoefficientSpectrum, path) -> None:

@@ -164,15 +164,30 @@ def _scan_su2(max_degree: int, grid: int) -> HoelderScanReport:
     # the pairs.  The largest |P_n(x) - P_n(y)| is max - min (rounding is
     # monotone); the largest divided difference is an adjacent one (over
     # [x_i, x_j] it is a weighted mean of the adjacent ones); the Hoelder
-    # ratio runs over the lags d, all degrees at once.
+    # ratio runs over the lags d and stops once no degree can still grow.
+    # Rounding is monotone, so at lag d no computed ratio of degree n
+    # exceeds spread[n] / min_i sqrt(x_{i+d} - x_i), and this bound never
+    # grows with d because the computed gaps x_{i+d} - x_i never shrink.
+    # A degree whose bound is at most its running maximum is therefore
+    # final; each lag scans the prefix of degrees up to the last one that
+    # is not, so the maximum is taken over the same computed ratios as the
+    # scan over all pairs.
     xs = np.linspace(-0.5, 0.5, grid)
     vals = legendre_all(max_degree, xs)[1:]
     spread = vals.max(axis=1) - vals.min(axis=1)
     slope = (np.abs(np.diff(vals, axis=1)) / np.diff(xs)).max(axis=1)
     holder = np.zeros(max_degree)
+    live = max_degree
     for d in range(1, grid):
-        ratio = np.abs(vals[:, d:] - vals[:, :-d]) / np.sqrt(xs[d:] - xs[:-d])
-        np.maximum(holder, ratio.max(axis=1), out=holder)
+        root_gap = np.sqrt(xs[d:] - xs[:-d])
+        growing = (spread[:live] / root_gap.min() > holder[:live]).nonzero()[0]
+        if growing.size == 0:
+            break
+        live = growing[-1] + 1
+        ratio = vals[:live, d:] - vals[:live, :-d]
+        np.abs(ratio, out=ratio)
+        ratio /= root_gap
+        np.maximum(holder[:live], ratio.max(axis=1), out=holder[:live])
     report = HoelderScanReport("su2", max_degree, grid)
     worst = {"uniform": 0.0, "lipschitz": 0.0, "holder_half": 0.0}
     for n in range(1, max_degree + 1):

@@ -230,6 +230,33 @@ def test_coeffs_rejects_malformed_spectrum(tmp_path, capsys, pair, row, message)
     assert json.loads(err) == {"error": "ValueError", "message": message}
 
 
+@pytest.mark.parametrize(
+    "spectrum, message",
+    [
+        ({"pair": "su2", "truncation": 2, "coeffs": [{"n": 1.5, "re": 1.0, "im": 0.0}]},
+         "index 1.5 is not an integer"),
+        ({"pair": "su2", "truncation": 2, "coeffs": [{"n": True, "re": 1.0, "im": 0.0}]},
+         "index True is not an integer"),
+        ({"pair": "u2", "truncation": 2, "coeffs": [{"l": 1, "m": "0", "re": 1.0, "im": 0.0}]},
+         "index '0' is not an integer"),
+        ({"pair": "su2", "truncation": 2.5, "coeffs": [{"n": 1, "re": 1.0, "im": 0.0}]},
+         "truncation 2.5 is not an integer"),
+        ({"pair": "su2", "truncation": 2, "coeffs": {"n": 1, "re": 1.0, "im": 0.0}},
+         "coeffs must be a list"),
+    ],
+    ids=["su2-float-index", "su2-bool-index", "u2-string-index", "float-truncation", "coeffs-object"],
+)
+def test_coeffs_rejects_mistyped_spectrum(tmp_path, capsys, spectrum, message):
+    src = tmp_path / "spec.json"
+    src.write_text(json.dumps(spectrum))
+    code, out, err = run(
+        capsys, "coeffs", "--family", spectrum["pair"], "-L", "2", "--spectrum", str(src)
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
 def test_coeffs_needs_exactly_one_source(capsys):
     code, _, err = run(capsys, "coeffs", "--family", "su2", "-L", "2")
     assert code == 2
@@ -287,6 +314,26 @@ def test_certify_rejects_non_finite_samples(tmp_path, capsys, sample, phi_inf):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"phi_inf": 1.0, "samples": [{"alpha1": 10.0, "alpha2": 0.0, "re": 1.0}]},
+         "phi_inf must be an object with fields re and im"),
+        ({"phi_inf": {}, "samples": 5}, "samples must be a list"),
+    ],
+    ids=["phi-inf-number", "samples-number"],
+)
+def test_certify_rejects_mistyped_fields(tmp_path, capsys, obj, message):
+    src = tmp_path / "samples.json"
+    src.write_text(json.dumps(obj))
+    code, out, err = run(
+        capsys, "certify", "--samples", str(src), "--p", "24", "--c-u2", "1.0"
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": message}
 
 
 def test_xcheck_subcommand(tmp_path, capsys):

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy.special import binom
 
@@ -169,7 +172,10 @@ def _scan_su2_all_pairs(max_degree, grid):
     return rows, violations, worst
 
 
-@pytest.mark.parametrize("max_degree, grid", [(1, 100), (8, 101), (10, 501), (60, 301), (100, 1001)])
+@pytest.mark.parametrize(
+    "max_degree, grid",
+    [(1, 100), (3, 137), (8, 101), (10, 501), (37, 777), (60, 301), (100, 1001)],
+)
 def test_su2_scan_matches_all_pairs_oracle_bitwise(max_degree, grid):
     report = sf.hoelder_bound_check("su2", max_degree, grid)
     rows, violations, worst = _scan_su2_all_pairs(max_degree, grid)
@@ -188,6 +194,47 @@ def test_su2_scan_violation_listing_matches_oracle(monkeypatch):
     assert report.violations == violations
     assert [row["violations"] for row in report.rows] == [row["violations"] for row in rows]
     assert report.rows == rows
+    assert report.empirical_constants == worst
+
+
+_VALUES = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def scan_rows(draw):
+    """Finite rows standing in for P_1..P_n: the shapes the lag cut-off must
+    get right at its edges.  Monotone rows peak at the widest lag, constant
+    rows have spread 0 and spiky rows peak at one isolated point."""
+    grid = draw(st.integers(100, 300))
+    kinds = ("monotone", "constant", "spiky", "arbitrary")
+    rows = [np.zeros(grid)]  # degree 0, which the scan skips
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=6)):
+        if kind == "monotone":
+            steps = draw(arrays(np.float64, grid, elements=st.floats(0.0, 10.0)))
+            rows.append(draw(_VALUES) + draw(st.sampled_from([1.0, -1.0])) * np.cumsum(steps))
+        elif kind == "constant":
+            rows.append(np.full(grid, draw(_VALUES)))
+        elif kind == "spiky":
+            row = np.full(grid, draw(_VALUES))
+            spikes = st.tuples(st.integers(0, grid - 1), _VALUES)
+            for i, v in draw(st.lists(spikes, min_size=1, max_size=4)):
+                row[i] = v
+            rows.append(row)
+        else:
+            rows.append(draw(arrays(np.float64, grid, elements=_VALUES)))
+    return grid, np.array(rows)
+
+
+@given(scan_rows())
+@settings(max_examples=150, deadline=None)
+def test_su2_scan_matches_all_pairs_oracle_on_arbitrary_rows(case):
+    grid, rows = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sf, "legendre_all", lambda nmax, x: rows)
+        report = sf.hoelder_bound_check("su2", len(rows) - 1, grid)
+        oracle_rows, violations, worst = _scan_su2_all_pairs(len(rows) - 1, grid)
+    assert report.rows == oracle_rows
+    assert report.violations == violations
     assert report.empirical_constants == worst
 
 

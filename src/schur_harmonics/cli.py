@@ -178,19 +178,25 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    real = gelfand._json_real
     obj = json.loads(_read(args.samples))
+    if not isinstance(obj, dict):
+        raise ValueError("samples file must be an object")
     phi_inf = obj.get("phi_inf", {})
     if not isinstance(phi_inf, dict):
         raise ValueError("phi_inf must be an object with fields re and im")
     if not isinstance(obj["samples"], list):
         raise ValueError("samples must be a list")
-    phi_inf = complex(phi_inf.get("re", 0.0), phi_inf.get("im", 0.0))
-    samples = [
-        decay.DecaySample(
-            s["alpha1"], s["alpha2"], complex(s["re"], s.get("im", 0.0)), phi_inf
-        )
-        for s in obj["samples"]
-    ]
+    phi_inf = complex(
+        real(phi_inf.get("re", 0.0), "phi_inf re"), real(phi_inf.get("im", 0.0), "phi_inf im")
+    )
+    samples = []
+    for s in obj["samples"]:
+        if not isinstance(s, dict):
+            raise ValueError(f"sample {s!r} is not an object")
+        alphas = (real(s["alpha1"], "alpha1"), real(s["alpha2"], "alpha2"))
+        value = complex(real(s["re"], "re"), real(s.get("im", 0.0), "im"))
+        samples.append(decay.DecaySample(*alphas, value, phi_inf))
     consts = decay.chain_constants(args.p, args.c_u2, args.series_terms)
     payload = {
         "certificate": decay.norm_certificate(samples, consts),

@@ -8,8 +8,8 @@ Four scalar systems are covered, all monotone in the unknowns:
 * ``solve_circle``: sinh^2(b)+sinh^2(c) = sinh^2(2 alpha) and
   sinh(b)sinh(c) = sinh^2(2 alpha)|r|/2, closed form.
 * ``solve_st``: sinh^2(2s)+sinh^2(s) and sinh(2t)sinh(t) matched to given
-  (beta, gamma) data; both left sides are strictly increasing, solved by
-  bracketed bisection refined with Newton.
+  (beta, gamma) data, closed form: a quadratic in sinh^2(s) and a cubic in
+  cosh(t) solved by Viete's trigonometric or hyperbolic root.
 * ``solve_bg``: the inverse of ``solve_st``, a quadratic in sinh^2.
 
 All arithmetic runs on logarithms of sinh values, so the solvers stay
@@ -44,6 +44,8 @@ _LOG2 = math.log(2.0)
 _NEG_INF = float("-inf")
 _LOG_TINY = math.log(sys.float_info.min)  # log of the smallest normal double
 _LOG_TINY2 = 2.0 * _LOG_TINY
+_LOG_VIETE_X = math.log(0.75 * math.sqrt(3.0))  # X = (3 sqrt(3)/4) P in solve_st
+_LOG_VIETE_C = math.log(2.0 / math.sqrt(3.0))
 
 
 def log_sinh(x: float) -> float:
@@ -66,11 +68,6 @@ def asinh_exp(log_s: float) -> float:
         return math.asinh(math.exp(log_s))
     # x = log_s + log(1 + sqrt(1 + e^(-2 log_s)))
     return log_s + math.log1p(math.sqrt(1.0 + math.exp(-2.0 * log_s)))
-
-
-def _log1p_exp(d: float) -> float:
-    """log(1 + e^d) for d <= 0."""
-    return math.log1p(math.exp(d)) if d > -700.0 else 0.0
 
 
 def _finite_pair(x: float, y: float) -> tuple:
@@ -185,16 +182,10 @@ def solve_circle(alpha: float, r: float) -> tuple:
     return _finite_pair(beta, asinh_exp(0.5 * log_sg2))
 
 
-def _log_sum_pair(l_big: float, l_small: float) -> float:
-    """log(e^l_big + e^l_small) assuming l_big >= l_small."""
-    if l_small == _NEG_INF:
-        return l_big
-    return l_big + _log1p_exp(l_small - l_big)
-
-
 def _log_sum_sq(x: float, y: float) -> float:
     """log(sinh^2(x) + sinh^2(y)) for x >= y >= 0: every sum side."""
-    return _log_sum_pair(2.0 * log_sinh(x), 2.0 * log_sinh(y))
+    big, small = 2.0 * log_sinh(x), 2.0 * log_sinh(y)
+    return big if small == _NEG_INF else big + math.log1p(math.exp(small - big))
 
 
 def _log_prod(x: float, y: float) -> float:
@@ -207,91 +198,40 @@ def _log_hyperbola_rhs(alpha: float, s2: float) -> float:
     return _log_prod(alpha, alpha) + math.log(1.0 - s2) if s2 < 1.0 else _NEG_INF
 
 
-def _log_s_lhs(s: float) -> float:
-    """log(sinh^2(2s) + sinh^2(s)), i.e. _log_sum_sq(2s, s) written out
-    because the bisection evaluates it a hundred times per solve."""
-    if s == 0.0:
-        return _NEG_INF
-    return _log_sum_pair(2.0 * log_sinh(2.0 * s), 2.0 * log_sinh(s))
-
-
-def _log_t_lhs(t: float) -> float:
-    """log(sinh(2t) sinh(t)), i.e. _log_prod(2t, t) written out."""
-    if t == 0.0:
-        return _NEG_INF
-    return log_sinh(2.0 * t) + log_sinh(t)
-
-
-def _solve_monotone(f, df, target: float, hi: float, tol: float = 1e-12) -> float:
-    """Root of f(x) = target on [0, hi]; f strictly increasing in log scale.
-
-    Bisection brackets the root, Newton polishes it; the residual is
-    measured on the log scale, so it is a relative residual of the original
-    equation.
-    """
-    if target == _NEG_INF:
-        return 0.0
-    lo = 0.0
-    for _ in range(64):
-        mid = (lo + hi) / 2.0
-        if f(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13 * max(1.0, hi):
-            break
-    # callers raise for roots below the normal range, and a subnormal start
-    # would overflow the derivative
-    x = max((lo + hi) / 2.0, sys.float_info.min)
-    for _ in range(8):
-        res = f(x) - target
-        if abs(res) <= tol:
-            break
-        d = df(x)
-        if d <= 0.0 or not math.isfinite(d):
-            break
-        step = res / d
-        x_new = x - step
-        if x_new < 0.5 * x:
-            # the root lies far below x, where f is close to c + k log(x) and
-            # a plain step overshoots towards 0: take the Newton step on
-            # log(x) instead
-            x_new = x * math.exp(-step / x)
-        x = x_new
-    return x
-
-
-def _ds_log_s_lhs(s: float) -> float:
-    # d/ds log(sinh^2(2s)+sinh^2(s)) = (2 sinh(4s)+sinh(2s))/(sinh^2(2s)+sinh^2(s))
-    q = math.exp(2.0 * (log_sinh(s) - log_sinh(2.0 * s)))
-    return (4.0 / math.tanh(2.0 * s) + math.exp(-log_sinh(2.0 * s))) / (1.0 + q)
-
-
-def _dt_log_t_lhs(t: float) -> float:
-    return 2.0 / math.tanh(2.0 * t) + 1.0 / math.tanh(t)
-
-
 def solve_st(beta: float, gamma: float) -> tuple:
-    """The unique (s, t) with sinh^2(2s)+sinh^2(s) = sinh^2(beta)+sinh^2(gamma)
-    and sinh(2t)sinh(t) = sinh(beta)sinh(gamma).
+    """The unique (s, t) with sinh^2(2s)+sinh^2(s) = S = sinh^2(beta)+sinh^2(gamma)
+    and sinh(2t)sinh(t) = P = sinh(beta)sinh(gamma), in closed form.
 
-    Both left sides are strictly increasing, so bisection brackets each root
-    and Newton refines it to a relative residual of 1e-12.  The outputs
-    always satisfy s >= beta/4 and t >= gamma/2.  ArithmeticError is raised
-    when s or t would lie below the smallest normal double, where no double
-    meets that residual, or when s overflows.
+    v = sinh^2(s) solves 4v^2 + 5v = S, so v = 2S / (5 + sqrt(25 + 16S)).
+    c = cosh(t) solves 2c^3 - 2c = P; Viete's root c >= 1 is (2/sqrt 3)
+    cos(acos(X)/3) for X = (3 sqrt(3)/4) P < 1, else (2/sqrt 3)
+    cosh(acosh(X)/3), and sinh^2(t) = P / (2c) has no c - 1 cancellation.
+    Both run on log S and log P.  The outputs satisfy s >= beta/4 and
+    t >= gamma/2.  ArithmeticError is raised when s or t would lie below
+    the smallest normal double, or when s overflows.
     """
     if not 0.0 <= gamma <= beta < math.inf:
         raise ValueError("need finite beta >= gamma >= 0")
     if beta == 0.0:
         return (0.0, 0.0)
-    target_s = _log_sum_sq(beta, gamma)
-    target_t = _log_prod(beta, gamma)
+    log_sum = _log_sum_sq(beta, gamma)
+    log_prod = _log_prod(beta, gamma)
     # 5 s^2 <= sinh^2(2s)+sinh^2(s) and 2 t^2 <= sinh(2t)sinh(t) bound the roots
-    if target_s < math.log(5.0) + _LOG_TINY2 or _NEG_INF < target_t < _LOG2 + _LOG_TINY2:
+    if log_sum < math.log(5.0) + _LOG_TINY2 or _NEG_INF < log_prod < _LOG2 + _LOG_TINY2:
         raise ArithmeticError("s or t lies below the normal double range")
-    s = _solve_monotone(_log_s_lhs, _ds_log_s_lhs, target_s, beta)
-    t = _solve_monotone(_log_t_lhs, _dt_log_t_lhs, target_t, beta)
+    # v = 2S / (5 + sqrt(25 + 16S)) with e^m factored out of the denominator
+    m = max(0.5 * log_sum, 0.0)
+    e = math.exp(-m)
+    root = math.sqrt(25.0 * e * e + 16.0 * math.exp(log_sum - 2.0 * m))
+    s = asinh_exp(0.5 * (_LOG2 + log_sum - m - math.log(5.0 * e + root)))
+    log_x = log_prod + _LOG_VIETE_X
+    if log_x < 0.0:
+        log_c = _LOG_VIETE_C + math.log(math.cos(math.acos(math.exp(log_x)) / 3.0))
+    else:
+        # y = acosh(X)/3 and log cosh(y) = y - log 2 + log(1 + e^(-2y)), on log X
+        y = (log_x + math.log1p(math.sqrt(-math.expm1(-2.0 * log_x)))) / 3.0
+        log_c = _LOG_VIETE_C + y - _LOG2 + math.log1p(math.exp(-2.0 * y))
+    t = asinh_exp(0.5 * (log_prod - _LOG2 - log_c))
     if s < beta / 4.0 - 1e-9 or t < gamma / 2.0 - 1e-9:
         raise ArithmeticError("postcondition s >= beta/4, t >= gamma/2 failed")
     return _finite_pair(s, t)
@@ -313,8 +253,8 @@ def solve_bg(s: float, t: float) -> tuple:
     t = min(t, s)
     if s == 0.0:
         return (0.0, 0.0)
-    log_sig = _log_s_lhs(s)
-    log_pi = _log_t_lhs(t)
+    log_sig = _log_sum_sq(2.0 * s, s)
+    log_pi = _log_prod(2.0 * t, t)
     if log_pi == _NEG_INF:
         return _finite_pair(asinh_exp(0.5 * log_sig), 0.0)
     w = math.exp(_LOG2 + log_pi - log_sig)
@@ -361,14 +301,14 @@ def residuals(system: str, given: tuple, solution: tuple) -> dict:
     if system == "st":
         beta, gamma = given
         return {
-            "s_equation_rel": rel_gap(_log_s_lhs(x), _log_sum_sq(beta, gamma)),
-            "t_equation_rel": rel_gap(_log_t_lhs(y), _log_prod(beta, gamma)),
+            "s_equation_rel": rel_gap(_log_sum_sq(2.0 * x, x), _log_sum_sq(beta, gamma)),
+            "t_equation_rel": rel_gap(_log_prod(2.0 * y, y), _log_prod(beta, gamma)),
         }
     if system == "bg":
         s, t = given
         return {
-            "sum_rel": rel_gap(_log_sum_sq(x, y), _log_s_lhs(s)),
-            "product_rel": rel_gap(_log_prod(x, y), _log_t_lhs(t)),
+            "sum_rel": rel_gap(_log_sum_sq(x, y), _log_sum_sq(2.0 * s, s)),
+            "product_rel": rel_gap(_log_prod(x, y), _log_prod(2.0 * t, t)),
         }
     if system == "hyperbola":
         alpha, a, b = given

@@ -435,18 +435,31 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_real(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} {value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer with more than 308 digits
+        raise ValueError(f"{what} lies beyond the double range") from None
+
+
 def spectrum_from_json(text: str) -> CoefficientSpectrum:
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("spectrum must be an object")
     pair = obj["pair"]
     if not isinstance(obj["coeffs"], list):
         raise ValueError("coeffs must be a list")
     coeffs = {}
     for row in obj["coeffs"]:
+        if not isinstance(row, dict):
+            raise ValueError(f"coefficient row {row!r} is not an object")
         if pair == "u2":
             idx = (_json_int(row["l"], "index"), _json_int(row["m"], "index"))
         else:
             idx = _json_int(row["n"], "index")
-        coeffs[idx] = complex(row["re"], row["im"])
+        coeffs[idx] = complex(_json_real(row["re"], "re"), _json_real(row["im"], "im"))
         if not cmath.isfinite(coeffs[idx]):
             raise ValueError(f"coefficient {idx} is not finite")
     return CoefficientSpectrum(pair, coeffs, _json_int(obj["truncation"], "truncation"))

@@ -243,8 +243,14 @@ def test_coeffs_rejects_malformed_spectrum(tmp_path, capsys, pair, row, message)
          "truncation 2.5 is not an integer"),
         ({"pair": "su2", "truncation": 2, "coeffs": {"n": 1, "re": 1.0, "im": 0.0}},
          "coeffs must be a list"),
+        ({"pair": "su2", "truncation": 2, "coeffs": [{"n": 1, "re": "1", "im": 0.0}]},
+         "re '1' is not a number"),
+        ({"pair": "su2", "truncation": 2, "coeffs": [5]}, "coefficient row 5 is not an object"),
     ],
-    ids=["su2-float-index", "su2-bool-index", "u2-string-index", "float-truncation", "coeffs-object"],
+    ids=[
+        "su2-float-index", "su2-bool-index", "u2-string-index", "float-truncation",
+        "coeffs-object", "string-re", "coeffs-row-number",
+    ],
 )
 def test_coeffs_rejects_mistyped_spectrum(tmp_path, capsys, spectrum, message):
     src = tmp_path / "spec.json"
@@ -255,6 +261,17 @@ def test_coeffs_rejects_mistyped_spectrum(tmp_path, capsys, spectrum, message):
     assert code == 2
     assert out == ""
     assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
+def test_coeffs_rejects_top_level_list(tmp_path, capsys):
+    src = tmp_path / "spec.json"
+    src.write_text(json.dumps([{"n": 1, "re": 1.0, "im": 0.0}]))
+    code, out, err = run(
+        capsys, "coeffs", "--family", "su2", "-L", "2", "--spectrum", str(src)
+    )
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": "spectrum must be an object"}
 
 
 def test_coeffs_needs_exactly_one_source(capsys):
@@ -322,8 +339,21 @@ def test_certify_rejects_non_finite_samples(tmp_path, capsys, sample, phi_inf):
         ({"phi_inf": 1.0, "samples": [{"alpha1": 10.0, "alpha2": 0.0, "re": 1.0}]},
          "phi_inf must be an object with fields re and im"),
         ({"phi_inf": {}, "samples": 5}, "samples must be a list"),
+        ({"phi_inf": {}, "samples": [5]}, "sample 5 is not an object"),
+        ({"samples": [{"alpha1": "10", "alpha2": 0.0, "re": 1.0}]},
+         "alpha1 '10' is not a number"),
+        ({"samples": [{"alpha1": True, "alpha2": 0.0, "re": 1.0}]},
+         "alpha1 True is not a number"),
+        ({"samples": [{"alpha1": 10**400, "alpha2": 0.0, "re": 1.0}]},
+         "alpha1 lies beyond the double range"),
+        ([{"alpha1": 10.0, "alpha2": 0.0, "re": 1.0}], "samples file must be an object"),
+        ({"phi_inf": {"re": "x"}, "samples": [{"alpha1": 10.0, "alpha2": 0.0, "re": 1.0}]},
+         "phi_inf re 'x' is not a number"),
     ],
-    ids=["phi-inf-number", "samples-number"],
+    ids=[
+        "phi-inf-number", "samples-number", "sample-number", "string-alpha1", "bool-alpha1",
+        "huge-int-alpha1", "top-level-list", "string-phi-inf",
+    ],
 )
 def test_certify_rejects_mistyped_fields(tmp_path, capsys, obj, message):
     src = tmp_path / "samples.json"

@@ -216,11 +216,87 @@ def test_st_raises_below_normal_range():
     ],
 )
 def test_st_tiny_roots_converge(beta, gamma):
-    # the bisection leaves these roots far below its midpoint: a plain Newton
-    # step used to overshoot towards 0 (or start subnormal and overflow the
-    # derivative) and stop with relative residuals up to 0.7
+    # regression inputs from the former bisection-plus-Newton solver, which
+    # left these roots far below its midpoint, overshot towards 0 (or started
+    # subnormal and overflowed the derivative) and stopped with relative
+    # residuals up to 0.7
     res = cg.residuals("st", (beta, gamma), cg.solve_st(beta, gamma))
     assert all(abs(r) <= 1e-10 for r in res.values())
+
+
+def _mp_root(log_lhs, log_rhs, lo, hi):
+    """Root of log_lhs(x) = log_rhs in [lo, hi], to the working precision:
+    bisection on log x, then the secant method from the bracket's middle."""
+    f = lambda u: log_lhs(mpmath.exp(u)) - log_rhs
+    lo, hi = mpmath.log(lo), mpmath.log(hi)
+    for _ in range(40):
+        mid = (lo + hi) / 2
+        if f(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return mpmath.exp(mpmath.findroot(f, (lo + hi) / 2))
+
+
+def _mp_st(beta, gamma):
+    """50-digit (s, t) from the two equations themselves, on the exact values
+    of the double inputs; the brackets follow from sinh(t) <= sinh(2t)/2."""
+    sh = mpmath.sinh
+    with mpmath.workdps(50):
+        sb, sg = sh(mpmath.mpf(beta)), sh(mpmath.mpf(gamma))
+        big_s, big_p = sb**2 + sg**2, sb * sg
+        s = _mp_root(
+            lambda x: mpmath.log(sh(2 * x) ** 2 + sh(x) ** 2), mpmath.log(big_s),
+            mpmath.asinh(2 * mpmath.sqrt(big_s / 5)) / 2, mpmath.asinh(mpmath.sqrt(big_s)) / 2,
+        )
+        if big_p == 0:
+            return s, mpmath.mpf(0)
+        t = _mp_root(
+            lambda x: mpmath.log(sh(2 * x) * sh(x)), mpmath.log(big_p),
+            mpmath.asinh(mpmath.sqrt(2 * big_p)) / 2, mpmath.asinh(mpmath.sqrt(big_p / 2)),
+        )
+        return s, t
+
+
+def _assert_st_matches_mp_roots(beta, gamma):
+    s, t = cg.solve_st(beta, gamma)
+    mp_s, mp_t = _mp_st(beta, gamma)
+    assert abs(s - mp_s) <= 1e-12 * mp_s
+    assert abs(t - mp_t) <= 1e-12 * mp_t
+    return t
+
+
+def test_st_matches_mpmath_roots_on_log_uniform_chamber():
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        beta = 10.0 ** rng.uniform(-300.0, math.log10(700.0))
+        gamma = beta * 10.0 ** rng.uniform(-20.0, 0.0)
+        try:
+            _assert_st_matches_mp_roots(beta, gamma)
+        except ArithmeticError:
+            # only where 2 t^2 <= sinh(beta) sinh(gamma) puts t below the normal range
+            prod = mpmath.sinh(beta) * mpmath.sinh(gamma)
+            assert mpmath.sqrt(prod / 2) < sys.float_info.min
+
+
+def test_st_matches_mpmath_roots_across_cubic_branch_point():
+    # with beta = gamma, P = sinh^2(beta) crosses 4/(3 sqrt 3), where t's
+    # closed form switches from the cos to the cosh form of Viete's root
+    b0 = math.asinh(math.sqrt(4.0 / (3.0 * math.sqrt(3.0))))
+    for step, half_width in ((1e-14, 40), (1e-3, 10)):
+        betas = [b0 * (1.0 + k * step) for k in range(-half_width, half_width + 1)]
+        assert math.sinh(betas[0]) ** 2 < 4.0 / (3.0 * math.sqrt(3.0)) < math.sinh(betas[-1]) ** 2
+        ts = [_assert_st_matches_mp_roots(b, b) for b in betas]
+        assert all(x <= y for x, y in zip(ts, ts[1:]))
+    # one ulp at a time through the switch
+    b = b0
+    for _ in range(200):
+        b = math.nextafter(b, 0.0)
+    ts = []
+    for _ in range(400):
+        ts.append(cg.solve_st(b, b)[1])
+        b = math.nextafter(b, 1.0)
+    assert all(x <= y for x, y in zip(ts, ts[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -90,8 +91,7 @@ def power_series_sum(kappa: float, n_terms: int = 4096) -> float:
         raise ValueError("series diverges for exponent >= -1")
     if n_terms < 8:
         raise ValueError("need at least 8 explicit terms")
-    k = range(1, n_terms + 1)
-    head = math.fsum(float(i) ** kappa for i in k)
+    head = math.fsum(map(pow, range(1, n_terms + 1), itertools.repeat(kappa)))
     a = float(n_terms + 1)
     tail = a ** (kappa + 1.0) / (-kappa - 1.0)
     tail += 0.5 * a**kappa

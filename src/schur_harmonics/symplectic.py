@@ -8,15 +8,20 @@ D(a1, a2) = diag(e^a1, e^a2, e^-a1, e^-a2) with a1 >= a2 >= 0.
 The KAK decomposition takes one SVD of g.  Its singular values come in
 reciprocal pairs e^(+-a1), e^(+-a2), but the orthogonal factors LAPACK
 returns need not lie in K, so only the two large singular values and
-their right singular vectors are read: if v is a unit singular vector for
-s, then -Jv is exactly the partner for 1/s.  Completing the two large
-vectors with their -J partners keeps the compact factors in K, also where
-singular values cluster at the chamber walls, and never touches the small
-singular values, whose absolute error eps e^a1 would swamp e^-a1.  In
-double precision the decomposition is tested for a1 <= 15; beyond that
-the relative residual grows like eps e^(a1 - a2), at worst eps e^a1, until
-DecompositionError is raised.  Tolerances are module constants and scale
-with ||g||.
+their right singular vectors q1, q2 are read; the small singular values,
+whose absolute error eps e^a1 would swamp e^-a1, are never touched.  Read
+as C^2 columns (x0 + i x2, x1 + i x3), a real 4-vector x and its partner
+-Jx are x and ix, so each compact factor is the embedding of a 2x2
+unitary made by Gram-Schmidt: k2 from (q1, q2), k1 from
+(g q1 e^-a1, g q2 e^-a2).  Gram-Schmidt keeps the first column's
+direction and leaves the rounding error of g q2 e^-a2, about
+eps e^(a1 - a2) along the first column, in the column D scales by e^a2,
+so the relative residual ||k1 D k2 - g||_F / ||g||_F is a backward error
+at eps level wherever a result is returned, walls included.  The domain is
+bounded instead by alpha2, whose forward error from the float SVD is
+about eps s1/s2: DecompositionError is raised where that exceeds
+ALPHA2_TOL, that is for a1 - a2 > 22.2.  Tolerances are module constants
+and scale with ||g||.
 """
 
 from __future__ import annotations
@@ -37,7 +42,6 @@ __all__ = [
     "CheckResult",
     "embed_u2",
     "recover_u2",
-    "project_to_k",
     "weyl_element",
     "d_alpha",
     "d_alpha_prime",
@@ -70,6 +74,10 @@ SYMPLECTIC_TOL = 1e-9
 K_TOL = 1e-9
 # ||k1 D k2 - g||_F / ||g||_F above this raises DecompositionError
 RESIDUAL_TOL = 1e-8
+# alpha2's forward error from the float SVD is about eps s1/s2, which the
+# residual cannot see; above this DecompositionError is raised (a1 - a2 > 22.2)
+ALPHA2_TOL = 1e-6
+_EPS = float(np.finfo(float).eps)
 # a swept q2 candidate below this norm sits in span(q1, J q1) and the next
 # singular vector is tried instead (only inside singular-value clusters,
 # where any cluster vector is equally valid)
@@ -120,14 +128,6 @@ def recover_u2(k) -> np.ndarray:
     return a + 1j * b
 
 
-def project_to_k(m) -> tuple:
-    """Nearest element of K: recover A + iB, unitarize by polar factor."""
-    u = recover_u2(np.asarray(m, dtype=float))
-    w, _, vh = np.linalg.svd(u)
-    u_pol = w @ vh
-    return embed_u2(u_pol), u_pol
-
-
 def weyl_element(alpha1: float, alpha2: float) -> np.ndarray:
     """The chamber diagonal diag(e^a1, e^a2, e^-a1, e^-a2)."""
     return np.diag(
@@ -162,6 +162,15 @@ def v_element() -> np.ndarray:
     return embed_u2(np.diag([c, c]))
 
 
+def _symplectic_defect(g: np.ndarray) -> tuple:
+    """||g^T J g - J||_F, J g taken as a signed row swap, and whether it is
+    at most SYMPLECTIC_TOL max(1, ||g||_F^2)."""
+    if g.shape != (4, 4):
+        raise ValueError("expected a 4x4 real matrix")
+    defect = float(np.linalg.norm(g.T @ np.concatenate((g[2:], -g[:2])) - J4))
+    return defect, defect <= SYMPLECTIC_TOL * max(1.0, float(np.linalg.norm(g)) ** 2)
+
+
 def symplectic_check(g) -> CheckResult:
     """Frobenius defects from the group and from its maximal compact.
 
@@ -169,11 +178,8 @@ def symplectic_check(g) -> CheckResult:
     defect <= SYMPLECTIC_TOL max(1, ||g||_F^2).
     """
     g = np.asarray(g, dtype=float)
-    if g.shape != (4, 4):
-        raise ValueError("expected a 4x4 real matrix")
-    d_sympl = float(np.linalg.norm(g.T @ J4 @ g - J4))
+    d_sympl, in_g = _symplectic_defect(g)
     d_orth = float(np.linalg.norm(g.T @ g - np.eye(4)))
-    in_g = d_sympl <= SYMPLECTIC_TOL * max(1.0, float(np.linalg.norm(g)) ** 2)
     in_k = in_g and d_orth <= K_TOL
     u = None
     if in_k:
@@ -191,30 +197,44 @@ def _symplectic_sweep(q1: np.ndarray, cand: np.ndarray):
     return w / nw
 
 
-def _with_j_partners(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """The columns [x1, x2, -J x1, -J x2]; in K when x1, x2 are orthonormal
-    and x2 is orthogonal to J x1."""
-    return np.column_stack([x1, x2, -J4 @ x1, -J4 @ x2])
+def _unitary_gs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The 2x2 unitary from Gram-Schmidt on the real 4-vectors x, y read as
+    C^2 columns (v0 + i v2, v1 + i v3): x normalised, then y made orthogonal
+    to it and normalised."""
+    x0, x1, x2, x3 = x.tolist()
+    y0, y1, y2, y3 = y.tolist()
+    n = math.hypot(x0, x1, x2, x3)
+    a, b = complex(x0, x2) / n, complex(x1, x3) / n
+    c, d = complex(y0, y2), complex(y1, y3)
+    p = a.conjugate() * c + b.conjugate() * d
+    c, d = c - p * a, d - p * b
+    m = math.hypot(c.real, c.imag, d.real, d.imag)
+    return np.array([[a, c / m], [b, d / m]])
 
 
 def kak_decompose(g) -> KakResult:
     """Decompose g = k1 D(a1, a2) k2 with k1, k2 in K and a1 >= a2 >= 0.
 
-    From one SVD of g: a1 = log s1 and a2 = max(0, log s2).  k2^T has the
-    columns [q1, q2, -J q1, -J q2], q1 the top right singular vector and q2
-    the first later one with a unit part off span(q1, J q1) (inside a
-    cluster at a chamber wall any such vector serves); k1 has the columns
-    [g q1 e^-a1, g q2 e^-a2] completed the same way; both are projected to
-    K.  The relative residual ||k1 D k2 - g||_F / ||g||_F is returned, or
-    DecompositionError raised above RESIDUAL_TOL.
+    From one SVD of g: a1 = log s1 and a2 = max(0, log s2).  k2^T is the
+    embedding of the Gram-Schmidt unitary of (q1, q2), q1 the top right
+    singular vector and q2 the first later one with a unit part off
+    span(q1, J q1) (inside a cluster at a chamber wall any such vector
+    serves); k1 is that of (g q1 e^-a1, g q2 e^-a2).  DecompositionError is
+    raised where alpha2's forward error eps s1/s2 exceeds ALPHA2_TOL, and
+    where the relative residual ||k1 D k2 - g||_F / ||g||_F, which is
+    returned, exceeds RESIDUAL_TOL.
     """
     g = np.asarray(g, dtype=float)
-    check = symplectic_check(g)
-    if not check.in_g:
-        raise SymplecticError(
-            f"input is not symplectic (defect {check.symplectic_defect:.3e})"
-        )
+    defect, in_g = _symplectic_defect(g)
+    if not in_g:
+        raise SymplecticError(f"input is not symplectic (defect {defect:.3e})")
     _, s, vt = np.linalg.svd(g)
+    if _EPS * s[0] > ALPHA2_TOL * s[1]:
+        raise DecompositionError(
+            f"alpha2 is lost to rounding: eps s1/s2 exceeds {ALPHA2_TOL:.1e} "
+            f"(s1 = {s[0]:.3e}, s2 = {s[1]:.3e}), which the relative "
+            "decomposition residual cannot detect"
+        )
     alpha1 = math.log(s[0])
     alpha2 = max(0.0, math.log(s[1]))
     q1 = vt[0]
@@ -224,13 +244,12 @@ def kak_decompose(g) -> KakResult:
     )
     if q2 is None:
         raise DecompositionError("failed to build a symplectic singular basis")
-    k2, u2 = project_to_k(_with_j_partners(q1, q2).T)
-    k1, u1 = project_to_k(
-        _with_j_partners(g @ q1 / math.exp(alpha1), g @ q2 / math.exp(alpha2))
-    )
-    residual = float(
-        np.linalg.norm(k1 @ weyl_element(alpha1, alpha2) @ k2 - g) / math.hypot(*s)
-    )
+    u2 = _unitary_gs(q1, q2).conj().T
+    e1, e2 = math.exp(alpha1), math.exp(alpha2)
+    u1 = _unitary_gs(g @ q1 / e1, g @ q2 / e2)
+    k1, k2 = embed_u2(u1), embed_u2(u2)
+    d = np.array([e1, e2, math.exp(-alpha1), math.exp(-alpha2)])
+    residual = float(np.linalg.norm((k1 * d) @ k2 - g) / math.hypot(*s))
     if residual > RESIDUAL_TOL:
         raise DecompositionError(
             f"relative decomposition residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}"

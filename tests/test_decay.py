@@ -24,6 +24,30 @@ def test_power_series_guards():
         decay.power_series_sum(-0.5)
 
 
+def _power_series_sum_by_generator(kappa, n_terms):
+    """power_series_sum with its head summed from a generator of float powers."""
+    head = math.fsum(float(i) ** kappa for i in range(1, n_terms + 1))
+    a = float(n_terms + 1)
+    tail = a ** (kappa + 1.0) / (-kappa - 1.0)
+    tail += 0.5 * a**kappa
+    tail -= kappa * a ** (kappa - 1.0) / 12.0
+    tail += kappa * (kappa - 1.0) * (kappa - 2.0) * a ** (kappa - 3.0) / 720.0
+    return head + tail
+
+
+@pytest.mark.parametrize("n_terms", [8, 4096])
+def test_power_series_matches_generator_form_bitwise(n_terms):
+    """The exponents chain_constants sums, for p over (12, 48]."""
+    for p in np.linspace(12.5, 48.0, 64):
+        p = float(p)
+        kappa_u = 2.0 + p * (0.125 - 1.5 / p) - p / 4.0
+        kappa_s = 1.0 + p * (0.25 - 1.0 / p) - p / 2.0
+        for kappa in (kappa_u, kappa_s):
+            assert decay.power_series_sum(kappa, n_terms) == _power_series_sum_by_generator(
+                kappa, n_terms
+            )
+
+
 def test_c2_closed_form():
     consts = decay.chain_constants(24.0, 1.0)
     assert abs(consts.c2 - 0.125 / (32.0 * math.sqrt(2.0))) <= 1e-12

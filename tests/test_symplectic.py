@@ -214,6 +214,57 @@ def test_kak_beyond_double_precision_raises():
             sp.kak_decompose(g)
 
 
+@pytest.mark.parametrize("seed", [305, 524, 1660, 1975, 653, 672, 952, 1674])
+def test_kak_wall_a2_zero_at_a1_15_residual_at_eps_level(seed):
+    """Seeds where a polar factor for k1, which spreads the eps e^15 error of
+    g q2 into the e^15 column, gives residuals of 4e-9 to 1.4e-8."""
+    rng = np.random.default_rng(seed)
+    g = sp.haar_k(rng) @ sp.weyl_element(15.0, 0.0) @ sp.haar_k(rng)
+    assert sp.kak_decompose(g).residual <= 1e-13
+
+
+def _assert_unitary_to_eps(res):
+    for u in (res.u1, res.u2):
+        assert np.linalg.norm(u.conj().T @ u - np.eye(2)) <= 1e-14
+
+
+def test_kak_wide_chamber_residual_at_eps_level_to_a1_15():
+    rng = np.random.default_rng(15)
+    for a_max in (3.0, 5.0, 8.0, 10.0, 15.0):
+        for a1, a2 in _wide_chamber_cases(rng, a_max, 200):
+            g = sp.haar_k(rng) @ sp.weyl_element(a1, a2) @ sp.haar_k(rng)
+            res = sp.kak_decompose(g)
+            assert res.residual <= 1e-13
+            _assert_unitary_to_eps(res)
+
+
+@pytest.mark.parametrize("alpha", [(22.5, 0.0), (23.0, 0.0), (30.0, 7.0)])
+def test_kak_raises_beyond_alpha2_forward_error_limit(alpha):
+    """eps s1/s2 > ALPHA2_TOL from a1 - a2 > 22.2 on, walls or not."""
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        g = sp.haar_k(rng) @ sp.weyl_element(*alpha) @ sp.haar_k(rng)
+        with pytest.raises(sp.DecompositionError, match="eps s1/s2"):
+            sp.kak_decompose(g)
+
+
+@pytest.mark.parametrize("a1", [18.0, 20.0, 22.0])
+def test_kak_alphas_inside_alpha2_limit_match_mpmath(a1):
+    """Below the limit the alphas are within a small multiple of their
+    forward error eps e^(a1 - a2) of the 50-digit singular values of g."""
+    rng = np.random.default_rng(int(a1))
+    tol = 4.0 * np.finfo(float).eps * np.exp(a1)
+    for _ in range(8):
+        g = sp.haar_k(rng) @ sp.weyl_element(a1, 0.0) @ sp.haar_k(rng)
+        res = sp.kak_decompose(g)
+        with mpmath.workdps(50):
+            s = mpmath.svd_r(mpmath.matrix(g.tolist()), compute_uv=False)
+            want1, want2 = float(mpmath.log(s[0])), max(0.0, float(mpmath.log(s[1])))
+        assert abs(res.alpha1 - want1) <= tol
+        assert abs(res.alpha2 - want2) <= tol
+        _assert_unitary_to_eps(res)
+
+
 def test_symplectic_check_scales_with_norm():
     rng = np.random.default_rng(9)
     g = sp.haar_k(rng) @ sp.weyl_element(9.0, 4.0) @ sp.haar_k(rng)

@@ -10,6 +10,7 @@ byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -264,7 +265,9 @@ def _cmd_xcheck(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="schur-harmonics",
         description="Batch runner for multiplier-norm searches, spherical "
@@ -319,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_const.add_argument("--p-max", type=float, required=True)
     p_const.add_argument("--steps", type=int, required=True)
     p_const.add_argument("--c-u2", type=float, required=True)
-    p_const.add_argument("--series-terms", type=int, default=4096)
+    p_const.add_argument("--series-terms", type=int, default=decay.SERIES_TERMS)
     p_const.add_argument("-o", "--output", required=True)
     p_const.set_defaults(func=_cmd_constants)
 
@@ -327,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--samples", required=True)
     p_cert.add_argument("--p", type=float, required=True)
     p_cert.add_argument("--c-u2", type=float, default=None)
-    p_cert.add_argument("--series-terms", type=int, default=4096)
+    p_cert.add_argument("--series-terms", type=int, default=decay.SERIES_TERMS)
     p_cert.add_argument("-o", "--output")
     p_cert.set_defaults(func=_cmd_certify)
 

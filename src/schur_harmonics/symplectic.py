@@ -78,6 +78,11 @@ RESIDUAL_TOL = 1e-8
 # residual cannot see; above this DecompositionError is raised (a1 - a2 > 22.2)
 ALPHA2_TOL = 1e-6
 _EPS = float(np.finfo(float).eps)
+# The float SVD of an element of Sp(2,R), rounding in g included, moves its
+# singular values by at most eps (SV_TOL_REL s1 + SV_TOL_ABS): measured under
+# 0.7 eps s1 for s1 > e^3 and under 4.3 eps near s1 = 1 (products of three
+# elements of K)
+SV_TOL_REL, SV_TOL_ABS = 2.0, 8.0
 # a swept q2 candidate below this norm sits in span(q1, J q1) and the next
 # singular vector is tried instead (only inside singular-value clusters,
 # where any cluster vector is equally valid)
@@ -86,6 +91,8 @@ SWEEP_MIN_NORM = 1e-3
 
 @dataclass
 class CheckResult:
+    """Membership diagnostics; see ``symplectic_check``."""
+
     in_g: bool
     in_k: bool
     symplectic_defect: float
@@ -171,14 +178,32 @@ def _symplectic_defect(g: np.ndarray) -> tuple:
     return defect, defect <= SYMPLECTIC_TOL * max(1.0, float(np.linalg.norm(g)) ** 2)
 
 
+def _singular_values_pair(s) -> bool:
+    """Whether singular values s1 >= s2 >= s3 >= s4 lie within
+    d = eps (SV_TOL_REL s1 + SV_TOL_ABS) of a symplectic matrix's, which
+    have s2 >= 1 and s2 s3 = 1.  By Weyl's inequality that needs
+    s2 >= 1 - d and |s2 s3 - 1| <= d (s2 + s3) + 3 d^2; the second test is
+    void where eps s1 s2 is large, as s3 is then lost to rounding."""
+    s1, s2, s3 = float(s[0]), float(s[1]), float(s[2])
+    d = _EPS * (SV_TOL_REL * s1 + SV_TOL_ABS)
+    return s2 >= 1.0 - d and abs(s2 * s3 - 1.0) <= d * (s2 + s3) + 3.0 * d * d
+
+
 def symplectic_check(g) -> CheckResult:
     """Frobenius defects from the group and from its maximal compact.
 
-    g^T J g - J rounds to about eps ||g||^2, so membership in G is relative:
-    defect <= SYMPLECTIC_TOL max(1, ||g||_F^2).
+    ``in_g`` reads g as a float matrix within a small relative backward
+    distance of Sp(2,R): g^T J g - J rounds to about eps ||g||^2, so the
+    defect is bounded relatively, defect <= SYMPLECTIC_TOL max(1, ||g||_F^2);
+    and the singular values must pair as those of an element moved by a
+    float SVD (see ``_singular_values_pair``).  The defect alone passes
+    every rank-deficient g with isotropic range and large norm, for which
+    g^T J g = 0; the singular values reject them as far as double
+    precision resolves them, about to ||g|| = 1e15 for rank 1.
     """
     g = np.asarray(g, dtype=float)
     d_sympl, in_g = _symplectic_defect(g)
+    in_g = in_g and _singular_values_pair(np.linalg.svd(g, compute_uv=False))
     d_orth = float(np.linalg.norm(g.T @ g - np.eye(4)))
     in_k = in_g and d_orth <= K_TOL
     u = None
@@ -219,7 +244,9 @@ def kak_decompose(g) -> KakResult:
     embedding of the Gram-Schmidt unitary of (q1, q2), q1 the top right
     singular vector and q2 the first later one with a unit part off
     span(q1, J q1) (inside a cluster at a chamber wall any such vector
-    serves); k1 is that of (g q1 e^-a1, g q2 e^-a2).  DecompositionError is
+    serves); k1 is that of (g q1 e^-a1, g q2 e^-a2).  SymplecticError is
+    raised where g fails the membership test of ``symplectic_check``, with
+    the singular values taken from the same SVD.  DecompositionError is
     raised where alpha2's forward error eps s1/s2 exceeds ALPHA2_TOL, and
     where the relative residual ||k1 D k2 - g||_F / ||g||_F, which is
     returned, exceeds RESIDUAL_TOL.
@@ -229,6 +256,11 @@ def kak_decompose(g) -> KakResult:
     if not in_g:
         raise SymplecticError(f"input is not symplectic (defect {defect:.3e})")
     _, s, vt = np.linalg.svd(g)
+    if not _singular_values_pair(s):
+        raise SymplecticError(
+            f"singular values {s[0]:.3e}, {s[1]:.3e}, {s[2]:.3e}, {s[3]:.3e} "
+            "are not those of a symplectic matrix"
+        )
     if _EPS * s[0] > ALPHA2_TOL * s[1]:
         raise DecompositionError(
             f"alpha2 is lost to rounding: eps s1/s2 exceeds {ALPHA2_TOL:.1e} "

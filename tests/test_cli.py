@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from schur_harmonics import cli
+from schur_harmonics import cli, decay
 from schur_harmonics import gelfand as gf
 from schur_harmonics import schatten as sc
 from schur_harmonics import symplectic as sp
@@ -125,6 +125,16 @@ def test_kak_rejects_non_symplectic(tmp_path, capsys):
     code, _, err = run(capsys, "kak", "--in", str(src))
     assert code == 2
     assert "SymplecticError" in err
+
+
+def test_kak_rejects_rank_one_input(tmp_path, capsys):
+    # g^T J g = 0 for rank 1, a defect of 2, far below 1e-9 ||g||_F^2
+    src = tmp_path / "rank1.json"
+    src.write_text(json.dumps({"rows": [[1e10, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}))
+    code, out, err = run(capsys, "kak", "--in", str(src))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "SymplecticError"
 
 
 def test_kak_subcommand_wide_chamber(tmp_path, capsys):
@@ -310,7 +320,7 @@ def test_certify_subcommand(tmp_path, capsys):
         np.exp(payload["c2"] * 10.0) / payload["c1"],
         rtol=1e-12,
     )
-    assert payload["series_terms"] == 4096
+    assert payload["series_terms"] == decay.SERIES_TERMS
 
 
 @pytest.mark.parametrize(

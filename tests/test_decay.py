@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -24,28 +25,101 @@ def test_power_series_guards():
         decay.power_series_sum(-0.5)
 
 
-def _power_series_sum_by_generator(kappa, n_terms):
-    """power_series_sum with its head summed from a generator of float powers."""
-    head = math.fsum(float(i) ** kappa for i in range(1, n_terms + 1))
-    a = float(n_terms + 1)
-    tail = a ** (kappa + 1.0) / (-kappa - 1.0)
-    tail += 0.5 * a**kappa
-    tail -= kappa * a ** (kappa - 1.0) / 12.0
-    tail += kappa * (kappa - 1.0) * (kappa - 2.0) * a ** (kappa - 3.0) / 720.0
-    return head + tail
+# The exponents chain_constants sums are 0.5 - p/8 and -p/4.
+_ENCLOSURE_PS = [12.001, 12.01] + [float(p) for p in np.linspace(12.5, 1000.0, 200)]
 
 
-@pytest.mark.parametrize("n_terms", [8, 4096])
-def test_power_series_matches_generator_form_bitwise(n_terms):
-    """The exponents chain_constants sums, for p over (12, 48]."""
-    for p in np.linspace(12.5, 48.0, 64):
-        p = float(p)
-        kappa_u = 2.0 + p * (0.125 - 1.5 / p) - p / 4.0
-        kappa_s = 1.0 + p * (0.25 - 1.0 / p) - p / 2.0
-        for kappa in (kappa_u, kappa_s):
-            assert decay.power_series_sum(kappa, n_terms) == _power_series_sum_by_generator(
-                kappa, n_terms
+@pytest.mark.parametrize("n_terms", [decay.SERIES_TERMS, 4096])
+def test_power_series_enclosure_contains_zeta(n_terms):
+    with mpmath.workdps(50):
+        for p in _ENCLOSURE_PS:
+            for kappa in (0.5 - p / 8.0, -p / 4.0):
+                got = decay.power_series_sum(kappa, n_terms)
+                want = mpmath.zeta(-mpmath.mpf(kappa))
+                assert got.lo <= want <= got.hi, (p, kappa, n_terms)
+                assert got.lo <= got <= got.hi
+
+
+_NAMES = ("c_tilde", "c_hat", "c3", "c4", "c5", "c5_prime", "c6", "c1", "c2")
+
+
+def _chain_iv(p, c_u2):
+    """The chain in 50-digit interval arithmetic, from 60-digit zeta values."""
+    iv = mpmath.iv
+
+    def imax(x, y):
+        return iv.mpf([max(x.a, y.a), max(x.b, y.b)])
+
+    with mpmath.workdps(60):
+        q, tol = mpmath.mpf(p), mpmath.mpf(10) ** -55
+        zetas = [mpmath.zeta(q / 8 - 0.5), mpmath.zeta(q / 4)]
+    dps, iv.dps = iv.dps, 50
+    try:
+        zeta_u, zeta_s = (iv.mpf([z * (1 - tol), z * (1 + tol)]) for z in zetas)
+        p, c_u2 = iv.mpf(p), iv.mpf(c_u2)
+        one = iv.mpf(1)
+        c_tilde = 2 ** (1 - (one / 8 - 3 / (2 * p))) * c_u2 * zeta_u ** (1 / p)
+        c_hat = 4 * (3 ** (-p / 4) * zeta_s) ** (1 / p)
+        c3 = imax(c_hat * 2 ** (one / 4 - 1 / p), 2 * iv.exp(one / 2))
+        c4 = imax(c_tilde, 2 * iv.exp(one / 8))
+        c5 = iv.exp(one / 16) * (c3 + c4)
+        x = one / 4 - 3 / p
+        c5_prime = c5 / (1 - iv.exp(-x / 8))
+        c6 = imax(c5_prime, 2 * iv.exp(one * 5 / 32))
+        c1 = imax(c3, c4) + c6
+        c2 = x / (32 * iv.sqrt(2))
+    finally:
+        iv.dps = dps
+    return dict(zip(_NAMES, (c_tilde, c_hat, c3, c4, c5, c5_prime, c6, c1, c2)))
+
+
+@pytest.mark.parametrize("p", [12.001, 12.01, 12.5, 13.0, 17.3, 24.0, 48.0, 100.0, 1000.0, 1e6])
+@pytest.mark.parametrize("c_u2", [1.0, 2.7])
+def test_chain_enclosure_contains_interval_chain(p, c_u2):
+    """The enclosures hold the exact chain and are under 1e-14 wide from
+    p = 12.5 on; the printed values are within 4e-15 of it."""
+    consts = decay.chain_constants(p, c_u2)
+    for name, want in _chain_iv(p, c_u2).items():
+        lo, hi = consts.enclosure[name]
+        got = getattr(consts, name)
+        assert lo <= want.a and want.b <= hi, (p, name)
+        assert lo <= got <= hi
+        assert abs(got - want.mid) <= 4e-15 * want.mid, (p, name)
+        if p >= 12.5:
+            assert hi - lo <= 1e-14 * lo, (p, name)
+
+
+def test_certificate_below_50_digit_certificate():
+    rng = np.random.default_rng(11)
+    for p in (12.001, 12.5, 24.0, 1000.0):
+        consts = decay.chain_constants(p, 1.0)
+        exact = _chain_iv(p, 1.0)
+        c1, c2 = (mpmath.mpf(exact[name].a) for name in ("c1", "c2"))
+        for _ in range(50):
+            a1 = float(rng.uniform(0.0, 10.0 ** rng.uniform(-2, 3)))
+            sample = decay.DecaySample(
+                a1, float(rng.uniform(0.0, a1)),
+                complex(*rng.standard_normal(2)), complex(*rng.standard_normal(2)),
             )
+            got = decay.norm_certificate([sample], consts)
+            with mpmath.workdps(50):
+                gap = mpmath.hypot(
+                    mpmath.mpf(sample.value.real) - mpmath.mpf(sample.phi_inf.real),
+                    mpmath.mpf(sample.value.imag) - mpmath.mpf(sample.phi_inf.imag),
+                )
+                radius = mpmath.hypot(sample.alpha1, sample.alpha2)
+                want = gap * mpmath.exp(c2 * radius) / c1
+            assert got <= want, (p, sample)
+            assert got >= want * (1 - 1e-12 * max(1.0, float(c2 * radius)))
+
+
+def test_default_head_matches_4096_terms():
+    for p in (12.5, 24.0, 1000.0):
+        a = decay.chain_constants(p, 1.0)
+        b = decay.chain_constants(p, 1.0, series_terms=4096)
+        for name in _NAMES:
+            va, vb = getattr(a, name), getattr(b, name)
+            assert abs(va - vb) <= 1e-12 * vb, (p, name)
 
 
 def test_c2_closed_form():

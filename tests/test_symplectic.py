@@ -1,5 +1,7 @@
 """Tests for Sp(2,R) membership, embeddings, and the KAK decomposition."""
 
+import contextlib
+import io
 import json
 
 import mpmath
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
+from schur_harmonics import cli
 from schur_harmonics import symplectic as sp
 
 
@@ -304,3 +307,53 @@ def test_matrix_json_roundtrip():
     res = sp.kak_decompose(g)
     payload = json.loads(sp.kak_to_json(res))
     assert set(payload) == {"alpha1", "alpha2", "residual", "k1", "k2"}
+
+
+_EPS = np.finfo(float).eps
+
+
+@given(
+    hst.integers(0, 2**32 - 1),
+    hst.floats(0.0, 15.0),
+    hst.floats(0.0, 1.0),
+    hst.sampled_from([1, 2]),
+)
+@settings(max_examples=300, deadline=None)
+def test_rank_deficient_isotropic_matrices_rejected(tmp_path_factory, seed, log_s1, frac, rank):
+    """Rank 1 of norm 1 to 1e15, and rank 2 with isotropic range and
+    eps s1 s2 <= 1e-3: g^T J g = 0, so the relative defect alone passes
+    them once ||g|| exceeds about 4.5e4."""
+    rng = np.random.default_rng(seed)
+    s1 = 10.0**log_s1
+    if rank == 1:
+        v, w = rng.standard_normal((2, 4))
+        g = s1 * np.outer(v / np.linalg.norm(v), w / np.linalg.norm(w))
+    else:
+        s2 = min(s1, 1e-3 / (_EPS * s1)) * 10.0 ** (-6.0 * frac)
+        g = sp.haar_k(rng) @ np.diag([s1, s2, 0.0, 0.0]) @ sp.haar_k(rng)
+    assert not sp.symplectic_check(g).in_g
+    with pytest.raises(sp.SymplecticError):
+        sp.kak_decompose(g)
+    src = tmp_path_factory.mktemp("g") / "g.json"
+    src.write_text(sp.matrix_to_json(g))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli.main(["kak", "--in", str(src)]) == 2
+    assert json.loads(err.getvalue())["error"] == "SymplecticError"
+
+
+@given(
+    hst.floats(0.0, 20.0),
+    hst.floats(0.0, 22.2),
+    hst.sampled_from(["interior", "a2 = 0", "a1 = a2"]),
+    hst.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_kak_accepts_whole_chamber_domain(a2, gap, where, seed):
+    """Every haar_k D(a1, a2) haar_k with a1 - a2 <= 22.2 passes the
+    membership test and decomposes."""
+    a1, a2 = {"interior": (a2 + gap, a2), "a2 = 0": (gap, 0.0), "a1 = a2": (a2, a2)}[where]
+    rng = np.random.default_rng(seed)
+    g = sp.haar_k(rng) @ sp.weyl_element(a1, a2) @ sp.haar_k(rng)
+    assert sp.symplectic_check(g).in_g
+    assert sp.kak_decompose(g).residual <= 1e-9

@@ -1,6 +1,6 @@
 """Numerical toolkit around Schatten-class Schur multipliers.
 
-Submodules:
+Submodules, each imported on first access (``import schur_harmonics`` loads none):
 
 * ``schatten`` -- Schatten norms, entrywise multipliers, and certified
   lower bounds on their S^p operator norms by nonconvex search.
@@ -18,7 +18,7 @@ Submodules:
 * ``cli`` -- batch experiment runner over all of the above.
 """
 
-from . import coset_geometry, decay, gelfand, schatten, special_fn, symplectic
+import importlib
 
 __version__ = "0.1.0"
 
@@ -31,3 +31,13 @@ __all__ = [
     "symplectic",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    if name in __all__:
+        return importlib.import_module("." + name, __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

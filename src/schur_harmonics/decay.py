@@ -231,19 +231,19 @@ def chain_constants(
 ) -> DecayConstants:
     """Evaluate the whole constant chain at exponent p, with enclosures.
 
-    Only p > 12 admits a positive Hoelder split exponent for the U(2)
-    series; smaller p raises.  ``c_u2`` is the uniform constant of the U(2)
-    family bounds, which is not pinned analytically; when omitted it
-    defaults to the empirical scan estimate times a 1.5 safety factor.
+    Only finite p > 12 admits a positive Hoelder split exponent for the
+    U(2) series; other p raise.  ``c_u2``, finite and positive, is the
+    uniform constant of the U(2) family bounds, which is not pinned
+    analytically; when omitted it is the empirical scan estimate times 1.5.
     """
-    if not p > 12.0:
-        raise ValueError("constant chain requires p > 12")
+    if not (p > 12.0 and math.isfinite(p)):
+        raise ValueError("constant chain requires finite p > 12")
     if c_u2 is None:
         from .special_fn import empirical_u2_constant
 
         c_u2 = 1.5 * empirical_u2_constant()
-    if c_u2 <= 0:
-        raise ValueError("c_u2 must be positive")
+    if not (c_u2 > 0 and math.isfinite(c_u2)):
+        raise ValueError("c_u2 must be finite and positive")
 
     # the exponents 2 + p eps_u - p/4 and 1 + p eps_s - p/2 are 0.5 - p/8
     # and -p/4, both exact in floating point for p > 4

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._json_fields import json_int, json_real
 from .schatten import MultiplierSymbol, SearchConfig, ms_norm_lower, schatten_norm
 from .special_fn import jacobi_all, legendre_all
 
@@ -428,22 +429,6 @@ def spectrum_to_json(spec: CoefficientSpectrum) -> str:
     return json.dumps({"pair": spec.pair, "truncation": spec.truncation, "coeffs": rows})
 
 
-def _json_int(value, what: str) -> int:
-    # JSON true/false load as bool, a subclass of int
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} {value!r} is not an integer")
-    return value
-
-
-def _json_real(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} {value!r} is not a number")
-    try:
-        return float(value)
-    except OverflowError:  # a JSON integer with more than 308 digits
-        raise ValueError(f"{what} lies beyond the double range") from None
-
-
 def spectrum_from_json(text: str) -> CoefficientSpectrum:
     obj = json.loads(text)
     if not isinstance(obj, dict):
@@ -456,13 +441,13 @@ def spectrum_from_json(text: str) -> CoefficientSpectrum:
         if not isinstance(row, dict):
             raise ValueError(f"coefficient row {row!r} is not an object")
         if pair == "u2":
-            idx = (_json_int(row["l"], "index"), _json_int(row["m"], "index"))
+            idx = (json_int(row["l"], "index"), json_int(row["m"], "index"))
         else:
-            idx = _json_int(row["n"], "index")
-        coeffs[idx] = complex(_json_real(row["re"], "re"), _json_real(row["im"], "im"))
+            idx = json_int(row["n"], "index")
+        coeffs[idx] = complex(json_real(row["re"], "re"), json_real(row["im"], "im"))
         if not cmath.isfinite(coeffs[idx]):
             raise ValueError(f"coefficient {idx} is not finite")
-    return CoefficientSpectrum(pair, coeffs, _json_int(obj["truncation"], "truncation"))
+    return CoefficientSpectrum(pair, coeffs, json_int(obj["truncation"], "truncation"))
 
 
 def spectrum_to_csv(spec: CoefficientSpectrum, path) -> None:

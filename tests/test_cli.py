@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
 from schur_harmonics import cli, decay
@@ -40,6 +42,48 @@ def test_constants_validation_exit(tmp_path, capsys):
     )
     assert code == 2
     assert json.loads(err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["constants", "--p-min", "13", "--p-max", "inf", "--steps", "3", "--c-u2", "1"],
+        ["constants", "--p-min", "13", "--p-max", "inf", "--steps", "1", "--c-u2", "1"],
+        ["constants", "--p-min", "13", "--p-max", "20", "--steps", "3", "--c-u2", "nan"],
+        ["certify", "--p", "inf", "--c-u2", "1"],
+        ["certify", "--p", "24", "--c-u2", "nan"],
+        ["certify", "--p", "24", "--c-u2", "inf"],
+    ],
+    ids=["constants-p-inf", "constants-p-inf-one-step", "constants-c-nan",
+         "certify-p-inf", "certify-c-nan", "certify-c-inf"],
+)
+def test_chain_inputs_must_be_finite(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    if argv[0] == "certify":
+        src = tmp_path / "samples.json"
+        src.write_text(json.dumps({"samples": [{"alpha1": 10.0, "alpha2": 0.0, "re": 1.0}]}))
+        argv = [*argv, "--samples", str(src)]
+    code, stdout, err = run(capsys, *argv, "-o", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert json.loads(err)["error"] == "ValueError"
+    assert not out.exists()
+
+
+@given(
+    hst.floats(12.0, 1e4, exclude_min=True),
+    hst.floats(0.0, 1e4),
+    hst.integers(1, 40),
+)
+@settings(max_examples=200, deadline=None)
+def test_constants_grid_is_linspace_bit_for_bit(tmp_path_factory, p_min, width, steps):
+    out = tmp_path_factory.mktemp("grid") / "c.csv"
+    p_max = p_min + width
+    argv = ["constants", "--p-min", repr(p_min), "--p-max", repr(p_max), "--steps", str(steps)]
+    assert cli.main([*argv, "--c-u2", "1.0", "-o", str(out)]) == 0
+    grid = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+    expected = np.linspace(p_min, p_max, steps).tolist()
+    assert [x.hex() for x in grid] == [x.hex() for x in expected]
 
 
 def test_solve_st_json(capsys):

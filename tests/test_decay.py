@@ -149,6 +149,16 @@ def test_chain_rejects_low_p():
             decay.chain_constants(p, 1.0)
 
 
+@pytest.mark.parametrize(
+    "p, c_u2",
+    [(math.inf, 1.0), (math.nan, 1.0), (24.0, math.nan), (24.0, math.inf), (24.0, 0.0)],
+)
+def test_chain_needs_finite_p_and_positive_c_u2(p, c_u2):
+    # unchecked, p = inf yields c1 = c2 = NaN and c_u2 = NaN a certificate of 0.0
+    with pytest.raises(ValueError):
+        decay.chain_constants(p, c_u2)
+
+
 def test_chain_positive_and_finite():
     for p in (12.5, 13.0, 16.0, 24.0, 48.0, 1000.0):
         c = decay.chain_constants(p, 1.0)

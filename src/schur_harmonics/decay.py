@@ -235,6 +235,7 @@ def chain_constants(
     U(2) series; other p raise.  ``c_u2``, finite and positive, is the
     uniform constant of the U(2) family bounds, which is not pinned
     analytically; when omitted it is the empirical scan estimate times 1.5.
+    A c_u2 so large that a constant or an enclosure end overflows raises.
     """
     if not (p > 12.0 and math.isfinite(p)):
         raise ValueError("constant chain requires finite p > 12")
@@ -252,6 +253,8 @@ def chain_constants(
     near, branches = _chain(p, c_u2, zeta_u, zeta_s, _nearest, _nearest)
     lo, _ = _chain(p, c_u2, zeta_u.lo, zeta_s.lo, _down, _up)
     hi, _ = _chain(p, c_u2, zeta_u.hi, zeta_s.hi, _up, _down)
+    if not all(map(math.isfinite, near + lo + hi)):
+        raise ValueError(f"c_u2 = {c_u2!r} overflows the constant chain at p = {p!r}")
     return DecayConstants(
         p, c_u2, *near, series_terms, branches,
         dict(zip(_CONSTANT_NAMES, zip(lo, hi))),

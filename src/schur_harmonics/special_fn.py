@@ -13,6 +13,7 @@ hundred).
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -287,15 +288,10 @@ def hoelder_bound_check(family: str, max_degree: int, grid: int) -> HoelderScanR
     raise ValueError(f"unknown family {family!r}")
 
 
-_U2_CONSTANT_CACHE: dict = {}
-
-
+@functools.cache
 def empirical_u2_constant(max_degree: int = 40, grid: int = 512) -> float:
     """Empirical uniform constant for the U(2) family bounds (cached)."""
-    key = (max_degree, grid)
-    if key not in _U2_CONSTANT_CACHE:
-        _U2_CONSTANT_CACHE[key] = hoelder_bound_check("u2", max_degree, grid).empirical_c
-    return _U2_CONSTANT_CACHE[key]
+    return hoelder_bound_check("u2", max_degree, grid).empirical_c
 
 
 def scan_report_to_csv(report: HoelderScanReport, path) -> None:

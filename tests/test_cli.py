@@ -53,9 +53,12 @@ def test_constants_validation_exit(tmp_path, capsys):
         ["certify", "--p", "inf", "--c-u2", "1"],
         ["certify", "--p", "24", "--c-u2", "nan"],
         ["certify", "--p", "24", "--c-u2", "inf"],
+        ["constants", "--p-min", "13", "--p-max", "20", "--steps", "3", "--c-u2", "1e308"],
+        ["certify", "--p", "24", "--c-u2", "1e308"],
     ],
     ids=["constants-p-inf", "constants-p-inf-one-step", "constants-c-nan",
-         "certify-p-inf", "certify-c-nan", "certify-c-inf"],
+         "certify-p-inf", "certify-c-nan", "certify-c-inf",
+         "constants-c-overflow", "certify-c-overflow"],
 )
 def test_chain_inputs_must_be_finite(tmp_path, capsys, argv):
     out = tmp_path / "out"

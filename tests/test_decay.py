@@ -159,6 +159,23 @@ def test_chain_needs_finite_p_and_positive_c_u2(p, c_u2):
         decay.chain_constants(p, c_u2)
 
 
+def test_chain_rejects_overflowing_c_u2():
+    # unchecked, c_u2 = 1e308 gives c1 = inf and a certificate of 0.0 (exit 0)
+    for c_u2 in (1e307, 1e308, 1.7976931348623157e308):
+        with pytest.raises(ValueError, match="overflows"):
+            decay.chain_constants(24.0, c_u2)
+    # up to the overflow every value and enclosure end stays finite
+    for p in (12.5, 24.0, 1000.0):
+        for c_u2 in np.geomspace(1e300, 1e308, 41):
+            try:
+                c = decay.chain_constants(p, float(c_u2))
+            except ValueError:
+                continue
+            ends = [x for lo_hi in c.enclosure.values() for x in lo_hi]
+            values = [getattr(c, name) for name in c.enclosure]
+            assert all(map(math.isfinite, values + ends)), (p, c_u2)
+
+
 def test_chain_positive_and_finite():
     for p in (12.5, 13.0, 16.0, 24.0, 48.0, 1000.0):
         c = decay.chain_constants(p, 1.0)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
 from schur_harmonics import gelfand as gf
@@ -99,6 +101,50 @@ def test_u2_under_resolution_error():
         gf.coefficients_u2(ones, 8, n_radial=4, n_angular=65)
     with pytest.raises(gf.UnderResolvedError):
         gf.coefficients_u2(ones, 8, n_radial=40, n_angular=9)
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Legendre node cache
+
+
+def test_gauss_legendre_nodes_are_leggauss_bit_for_bit():
+    for n in range(1, 101):
+        t, wt = gf._gauss_legendre(n)
+        want_t, want_wt = np.polynomial.legendre.leggauss(n)
+        assert t.tobytes() == want_t.tobytes() and wt.tobytes() == want_wt.tobytes()
+        assert t.dtype == want_t.dtype and wt.dtype == want_wt.dtype
+
+
+def test_gauss_legendre_nodes_shared_read_only():
+    t, wt = gf._gauss_legendre(7)
+    again = gf._gauss_legendre(7)
+    assert again[0] is t and again[1] is wt
+    for arr in (t, wt):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+        with pytest.raises(ValueError):
+            arr *= 2.0
+    assert np.array_equal(t, np.polynomial.legendre.leggauss(7)[0])
+
+
+def test_gauss_legendre_computed_once_per_order(monkeypatch):
+    leggauss, calls = np.polynomial.legendre.leggauss, []
+
+    def counting(n):
+        calls.append(n)
+        return leggauss(n)
+
+    gf._gauss_legendre.cache_clear()
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    try:
+        for _ in range(2):
+            gf.coefficients_u2(ones, 3)  # radial order 12
+            gf.coefficients_su2(ones, 5)  # order 12 again
+            gf.kernel_schatten_norm(ones, 2.0, 6, "u2", check=True)  # 6 and 12
+            gf.kernel_schatten_norm(ones, 2.0, 5, "su2", check=True)  # 5 and 10
+    finally:
+        gf._gauss_legendre.cache_clear()
+    assert calls == [12, 6, 5, 10]
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +531,27 @@ def test_k_average_matches_per_pair_loop(monkeypatch, subgroup):
     for got, w in zip(probes, want_probes):
         assert np.abs(got - w).max() <= 1e-15 * np.abs(w).max()
     assert res.max_conjugate_norm == max(norms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    subgroup=hst.sampled_from(sorted(_K_AVERAGE_PHIS)),
+    n_points=hst.integers(1, 6),
+    n_samples=hst.integers(1, 6),
+    seed=hst.integers(min_value=0),
+)
+def test_k_average_matches_per_pair_loop_on_random_draws(subgroup, n_points, n_samples, seed):
+    phi = _K_AVERAGE_PHIS[subgroup]
+    pts = gf.haar_u2(np.random.default_rng(seed), n_points)
+    res = gf.k_average(phi, pts, n_samples, seed=seed, subgroup=subgroup)
+    want, _ = _k_average_oracle(phi, pts, n_samples, seed, subgroup)
+    # Unitary entries are <= 1 and each phi is a fixed quadratic in them, so
+    # the per-pair values agree to a few eps; each of the two sums over the
+    # n_samples^2 pairs may then round by up to one ulp of |phi| <= 2 per
+    # term.  A fixed 1e-15 relative bound does not hold on random draws
+    # (with 5-6 samples the sum rounding reaches 1.2e-15, with einsum too).
+    tol = (8 + 2 * n_samples**2) * np.finfo(float).eps
+    assert np.abs(res.symbol.values - want).max() <= tol
 
 
 def test_k_average_rejects_empty_sample():

@@ -57,6 +57,8 @@ def _parse_p(raw: str) -> float:
 
 def _cmd_norm(args) -> int:
     from . import schatten
+    if args.amplify < 1:
+        raise ValueError("--amplify must be >= 1")
     sym = schatten.symbol_from_json(_read(args.infile))
     p = _parse_p(args.p)
     cfg = schatten.SearchConfig(

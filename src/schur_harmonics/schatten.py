@@ -2,8 +2,8 @@
 
 A Schur multiplier acts entrywise, X -> [psi_ij * x_ij].  Its operator norm
 on the p-th Schatten class is estimated from below by maximizing the ratio
-||psi o X||_p / ||X||_p with projected gradient ascent over the unit sphere
-of S^p, seeded with the best matrix unit and random restarts.  Every feasible
+||psi o X||_p / ||X||_p with the p-norm power method on the unit sphere of
+S^p, seeded with the best matrix unit and random restarts.  Every feasible
 X certifies a lower bound, so the reported value is always a valid one, and
 the matrix-unit seed guarantees the sup|psi| floor.  At p = 2 the multiplier
 acts diagonally on the Hilbert-Schmidt basis of matrix units and the norm is
@@ -16,6 +16,8 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from ._json_fields import json_int, json_real
 
 __all__ = [
     "SearchConfig",
@@ -32,24 +34,30 @@ __all__ = [
 ]
 
 
+GAIN_WINDOW = 20  # iterations over which an ascent run's gain is measured
+AMPLIFICATION_CAP = 512  # largest side of an amplified symbol in cb_lower_bound
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Knobs for the nonconvex ratio search.
 
-    Convergence is declared when the relative objective gain over
-    ``gain_window`` consecutive iterations drops below ``gain_tol``.
+    An ascent run converges when its relative objective gain over
+    ``GAIN_WINDOW`` consecutive iterations drops below ``gain_tol``.
     ``warm_starts`` are extra seed witnesses (on top of the matrix-unit seed
-    and ``restarts`` random ones).
+    and ``restarts`` random ones).  Amplified searches are capped at side
+    ``AMPLIFICATION_CAP``.
     """
 
     restarts: int = 32
     max_iter: int = 1500
     gain_tol: float = 1e-9
-    gain_window: int = 20
     seed: int = 0
-    step0: float = 0.5
     warm_starts: tuple = ()
-    amplification_cap: int = 512
+
+    def __post_init__(self):
+        if not (self.restarts >= 0 and self.max_iter >= 0 and self.gain_tol >= 0):
+            raise ValueError("restarts, max_iter and gain_tol must be >= 0")
 
 
 @dataclass
@@ -127,16 +135,16 @@ def _norm_and_gradient(y: np.ndarray, p: float, rng: np.random.Generator):
     For finite p > 1 the witness is U diag((s/||y||)^(p-1)) V^*, which has
     unit S^q norm (1/p + 1/q = 1) and pairs to exactly ||y||_p.  At p = inf
     it is the top singular dyad, with near-ties broken by a small random
-    perturbation so the subgradient is well defined; at p = 1 it is U V^*.
+    perturbation so the subgradient is well defined (the returned norm is
+    that of y itself); at p = 1 it is U V^*.
     """
     u, s, vh = np.linalg.svd(y)
     if np.isinf(p):
         if s.size > 1 and s[0] > 0 and (s[0] - s[1]) <= 1e-12 * s[0]:
             bump = 1e-8 * s[0]
-            y = y + bump * (
-                rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
+            u, _, vh = np.linalg.svd(
+                y + bump * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
             )
-            u, s, vh = np.linalg.svd(y)
         return float(s[0]), np.outer(u[:, 0], vh[0].conj())
     if p == 1.0:
         return float(np.sum(s)), u @ vh
@@ -165,15 +173,13 @@ def _ratio(psi_v: np.ndarray, x: np.ndarray, p: float) -> float:
 def _ascend(psi_v, p, x0, cfg: SearchConfig, rng):
     """One ascent run from x0; returns (value, witness, iters, converged).
 
-    Each iteration replaces X by the S^p-unit maximizer of the linearized
-    objective Re<conj(psi) o Y, X>, where Y is the gradient witness of
-    ||psi o X||_p.  By Hoelder this never decreases the objective, and it is
-    exactly a projected gradient step with optimally rescaled singular
-    values.  A plain additive gradient step is used as fallback whenever the
-    rescaled step stalls.  The maximizer is the S^q dual witness of the
-    gradient, which has unit S^p norm by construction, and the witness Y of an
-    accepted point is carried into the next iteration, so an accepted power
-    step costs two SVDs.
+    Each iteration is the p-norm power step: X becomes the S^q dual witness
+    X' of G = conj(psi) o Y, Y the dual witness of psi o X.  X' has unit S^p
+    norm, and since f(X) = ||psi o X||_p is convex with Re<G, X> = f(X),
+    f(X') >= Re<G, X'> = ||G||_q >= f(X).  So a computed drop is rounding at
+    a fixed point (or the p = inf tie bump): it ends the run as converged on
+    the current X, which is therefore the best iterate.  Y is carried into
+    the next iteration, so a step costs two SVDs.
     """
     q = _dual_exponent(p)
     x = np.array(x0, dtype=complex)
@@ -182,35 +188,21 @@ def _ascend(psi_v, p, x0, cfg: SearchConfig, rng):
         return 0.0, x, 0, True
     x /= nx
     val, y = _norm_and_gradient(psi_v * x, p, rng)
-    best_val, best_x = val, x.copy()
     history = [val]
-    step = cfg.step0
     for it in range(1, cfg.max_iter + 1):
         grad = psi_v.conj() * y
-        gn = np.linalg.norm(grad)
-        if gn == 0.0:
-            return best_val, best_x, it, True
+        if not grad.any():
+            return val, x, it, True
         _, x_pow = _norm_and_gradient(grad, q, rng)
         val_pow, y_pow = _norm_and_gradient(psi_v * x_pow, p, rng)
-        if val_pow >= val:
-            x, val, y = x_pow, val_pow, y_pow
-        else:
-            x_new = x + step * grad / gn
-            x_new /= schatten_norm(x_new, p)
-            val_new, y_new = _norm_and_gradient(psi_v * x_new, p, rng)
-            if val_new >= val:
-                x, val, y = x_new, val_new, y_new
-                step = min(step * 1.25, 4.0)
-            else:
-                step *= 0.4
-        if val > best_val:
-            best_val, best_x = val, x.copy()
+        if val_pow < val:
+            return val, x, it, True
+        x, val, y = x_pow, val_pow, y_pow
         history.append(val)
-        if len(history) > cfg.gain_window:
-            ref = history[-cfg.gain_window - 1]
-            if val - ref < cfg.gain_tol * max(val, 1e-300):
-                return best_val, best_x, it, True
-    return best_val, best_x, cfg.max_iter, False
+        if len(history) > GAIN_WINDOW:
+            if val - history[-GAIN_WINDOW - 1] < cfg.gain_tol * max(val, 1e-300):
+                return val, x, it, True
+    return val, x, cfg.max_iter, False
 
 
 def ms_norm_lower(psi, p: float, cfg: SearchConfig | None = None) -> NormEstimate:
@@ -271,10 +263,8 @@ def cb_lower_bound(psi, p: float, m: int, cfg: SearchConfig | None = None) -> fl
     if m < 1:
         raise ValueError("amplification must be >= 1")
     n = sym.n
-    if m > 1 and n * m > cfg.amplification_cap:
-        raise ValueError(
-            f"amplified size {n * m} exceeds cap {cfg.amplification_cap}"
-        )
+    if m > 1 and n * m > AMPLIFICATION_CAP:
+        raise ValueError(f"amplified size {n * m} exceeds cap {AMPLIFICATION_CAP}")
     base = ms_norm_lower(sym, p, cfg)
     if m == 1:
         return base.value
@@ -307,12 +297,18 @@ def symbol_to_json(sym: MultiplierSymbol) -> str:
     )
 
 
+def _json_square(rows, n: int, what: str) -> np.ndarray:
+    if not isinstance(rows, list) or [len(r) if isinstance(r, list) else -1 for r in rows] != [n] * n:
+        raise ValueError(f"symbol {what} must be an {n} x {n} array")
+    return np.array([[json_real(v, what) for v in row] for row in rows])
+
+
 def symbol_from_json(text: str) -> MultiplierSymbol:
     obj = json.loads(text)
-    vals = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-    if vals.shape != (obj["n"], obj["n"]):
-        raise ValueError("symbol JSON has inconsistent dimensions")
-    return MultiplierSymbol(vals)
+    if not isinstance(obj, dict):
+        raise ValueError("symbol JSON must be an object with fields n, re and im")
+    n = json_int(obj["n"], "symbol size")
+    return MultiplierSymbol(_json_square(obj["re"], n, "re") + 1j * _json_square(obj["im"], n, "im"))
 
 
 def estimate_report(est: NormEstimate, include_witness: bool = False) -> dict:

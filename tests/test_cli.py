@@ -242,6 +242,52 @@ def test_norm_rejects_nan_p(tmp_path, capsys):
     assert json.loads(err) == {"error": "ValueError", "message": "p must lie in [1, inf]"}
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [[1.0, 0.0], [0.0, 1.0]],
+        {"n": 2, "re": [[1.0, 0.0], [0.0, 1.0]], "im": [[1.0, 2.0]]},
+        {"n": True, "re": [[1.0]], "im": [[0.0]]},
+        {"n": 2, "re": [[1.0, "0"], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+        {"n": 0, "re": [], "im": []},
+    ],
+    ids=["top-level-list", "im-broadcast", "n-bool", "string-entry", "empty"],
+)
+def test_norm_rejects_malformed_symbol(tmp_path, capsys, doc):
+    src = tmp_path / "psi.json"
+    src.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, "norm", "--in", str(src), "--p", "4", "--seed", "1")
+    assert code == 2
+    assert stdout == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        ["--restarts", "-3"],
+        ["--max-iter", "-1"],
+        ["--tol", "nan"],
+        ["--tol", "-1"],
+        ["--amplify", "0"],
+        ["--amplify", "-3"],
+    ],
+    ids=["restarts-negative", "max-iter-negative", "tol-nan", "tol-negative",
+         "amplify-zero", "amplify-negative"],
+)
+def test_norm_rejects_bad_search_options(tmp_path, capsys, option):
+    src = tmp_path / "psi.json"
+    src.write_text(sc.symbol_to_json(sc.MultiplierSymbol(np.eye(2))))
+    out = tmp_path / "report.json"
+    code, stdout, err = run(
+        capsys, "norm", "--in", str(src), "--p", "4", "--seed", "1", *option, "-o", str(out)
+    )
+    assert code == 2
+    assert stdout == ""
+    assert json.loads(err)["error"] == "ValueError"
+    assert not out.exists()
+
+
 def test_coeffs_subcommand(tmp_path, capsys):
     code, out, _ = run(
         capsys, "coeffs", "--family", "su2", "-L", "4", "--phi", "legendre:3",

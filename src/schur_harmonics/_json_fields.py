@@ -1,4 +1,4 @@
-"""Typed reads of JSON number fields, shared by the spectrum and samples readers."""
+"""Typed reads of JSON number fields, shared by the package's JSON readers."""
 
 
 def json_int(value, what: str) -> int:
@@ -15,3 +15,9 @@ def json_real(value, what: str) -> float:
         return float(value)
     except OverflowError:  # a JSON integer with more than 308 digits
         raise ValueError(f"{what} lies beyond the double range") from None
+
+
+def json_square(rows, n: int, what: str) -> list:
+    if not isinstance(rows, list) or [len(r) if isinstance(r, list) else -1 for r in rows] != [n] * n:
+        raise ValueError(f"{what} must be an {n} x {n} array")
+    return [[json_real(v, what) for v in row] for row in rows]

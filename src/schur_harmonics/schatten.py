@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._json_fields import json_int, json_real
+from ._json_fields import json_int, json_square
 
 __all__ = [
     "SearchConfig",
@@ -133,10 +133,12 @@ def _norm_and_gradient(y: np.ndarray, p: float, rng: np.random.Generator):
     """Schatten norm of y and its dual (gradient) witness.
 
     For finite p > 1 the witness is U diag((s/||y||)^(p-1)) V^*, which has
-    unit S^q norm (1/p + 1/q = 1) and pairs to exactly ||y||_p.  At p = inf
-    it is the top singular dyad, with near-ties broken by a small random
-    perturbation so the subgradient is well defined (the returned norm is
-    that of y itself); at p = 1 it is U V^*.
+    unit S^q norm (1/p + 1/q = 1) and pairs to exactly ||y||_p; its weights
+    are r^(p-1) (sum r^p)^((1-p)/p), r = s/s_1, as a rounded s/||y|| raised
+    to p - 1 >> 1 would leave that sphere (a tie with s_1 gives r = 1
+    exactly).  At p = inf it is the top singular dyad, with near-ties broken
+    by a small random perturbation so the subgradient is well defined (the
+    returned norm is that of y itself); at p = 1 it is U V^*.
     """
     u, s, vh = np.linalg.svd(y)
     if np.isinf(p):
@@ -150,9 +152,10 @@ def _norm_and_gradient(y: np.ndarray, p: float, rng: np.random.Generator):
         return float(np.sum(s)), u @ vh
     if s[0] == 0.0:
         return 0.0, np.zeros_like(y)
-    val = float(s[0] * np.sum((s / s[0]) ** p) ** (1.0 / p))
-    w = (s / val) ** (p - 1.0)
-    return val, (u * w) @ vh
+    r = s / s[0]
+    total = np.sum(r**p)
+    w = r ** (p - 1.0) * total ** ((1.0 - p) / p)
+    return float(s[0] * total ** (1.0 / p)), (u * w) @ vh
 
 
 def _dual_exponent(p: float) -> float:
@@ -297,18 +300,13 @@ def symbol_to_json(sym: MultiplierSymbol) -> str:
     )
 
 
-def _json_square(rows, n: int, what: str) -> np.ndarray:
-    if not isinstance(rows, list) or [len(r) if isinstance(r, list) else -1 for r in rows] != [n] * n:
-        raise ValueError(f"symbol {what} must be an {n} x {n} array")
-    return np.array([[json_real(v, what) for v in row] for row in rows])
-
-
 def symbol_from_json(text: str) -> MultiplierSymbol:
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("symbol JSON must be an object with fields n, re and im")
     n = json_int(obj["n"], "symbol size")
-    return MultiplierSymbol(_json_square(obj["re"], n, "re") + 1j * _json_square(obj["im"], n, "im"))
+    re, im = (np.array(json_square(obj[f], n, "symbol " + f)) for f in ("re", "im"))
+    return MultiplierSymbol(re + 1j * im)
 
 
 def estimate_report(est: NormEstimate, include_witness: bool = False) -> dict:

@@ -11,13 +11,14 @@ returns need not lie in K, so only the two large singular values and
 their right singular vectors q1, q2 are read; the small singular values,
 whose absolute error eps e^a1 would swamp e^-a1, are never touched.  Read
 as C^2 columns (x0 + i x2, x1 + i x3), a real 4-vector x and its partner
--Jx are x and ix, so each compact factor is the embedding of a 2x2
-unitary made by Gram-Schmidt: k2 from (q1, q2), k1 from
-(g q1 e^-a1, g q2 e^-a2).  Gram-Schmidt keeps the first column's
-direction and leaves the rounding error of g q2 e^-a2, about
-eps e^(a1 - a2) along the first column, in the column D scales by e^a2,
-so the relative residual ||k1 D k2 - g||_F / ||g||_F is a backward error
-at eps level wherever a result is returned, walls included.  The domain is
+-Jx are x and ix, so span(q1, J q1) is the complex line of q1 and each
+compact factor is the embedding of a 2x2 unitary made by Gram-Schmidt on
+complex scalars: k2 from (q1, q2), q2 the first later singular vector
+with a part off that line (one complex projection), k1 from (g q1, g q2).
+Gram-Schmidt keeps the first column's direction and leaves the rounding
+error of g q2, about eps e^a1 along the first column, in the column D
+scales by e^a2, so the relative residual ||k1 D k2 - g||_F / ||g||_F is a
+backward error at eps level wherever a result is returned, walls included.  The domain is
 bounded instead by alpha2, whose forward error from the float SVD is
 about eps s1/s2: DecompositionError is raised where that exceeds
 ALPHA2_TOL, that is for a1 - a2 > 22.2.  Tolerances are module constants
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._json_fields import json_square
 from .gelfand import haar_u2
 
 __all__ = [
@@ -83,10 +85,12 @@ _EPS = float(np.finfo(float).eps)
 # 0.7 eps s1 for s1 > e^3 and under 4.3 eps near s1 = 1 (products of three
 # elements of K)
 SV_TOL_REL, SV_TOL_ABS = 2.0, 8.0
-# a swept q2 candidate below this norm sits in span(q1, J q1) and the next
-# singular vector is tried instead (only inside singular-value clusters,
-# where any cluster vector is equally valid)
+# a later singular vector with a part off the complex line of q1 shorter than
+# this is passed over (only within rounding of the origin, where any serves)
 SWEEP_MIN_NORM = 1e-3
+# embed_u2 reads u as the floats (re u00, im u00, re u01, im u01, re u10, ...)
+_EMBED_INDEX = np.array([[0, 2, 1, 3], [4, 6, 5, 7], [1, 3, 0, 2], [5, 7, 4, 6]])
+_EMBED_SIGN = np.array([[1.0, 1.0, -1.0, -1.0]] * 2 + [[1.0] * 4] * 2)
 
 
 @dataclass
@@ -117,14 +121,11 @@ class KakResult:
 
 def embed_u2(u) -> np.ndarray:
     """Embed a 2x2 unitary A + iB as the 4x4 block matrix [[A, -B], [B, A]]."""
-    u = np.asarray(u, dtype=complex)
+    u = np.ascontiguousarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
-    k = np.empty((4, 4))  # filled in place: np.block costs 3x as long at this size
-    k[:2, :2] = k[2:, 2:] = u.real
-    k[2:, :2] = u.imag
-    k[:2, 2:] = -u.imag
-    return k
+    # one gather and one sign flip: half the time of four block assignments
+    return u.reshape(4).view(float)[_EMBED_INDEX] * _EMBED_SIGN
 
 
 def recover_u2(k) -> np.ndarray:
@@ -174,8 +175,10 @@ def _symplectic_defect(g: np.ndarray) -> tuple:
     at most SYMPLECTIC_TOL max(1, ||g||_F^2)."""
     if g.shape != (4, 4):
         raise ValueError("expected a 4x4 real matrix")
-    defect = float(np.linalg.norm(g.T @ np.concatenate((g[2:], -g[:2])) - J4))
-    return defect, defect <= SYMPLECTIC_TOL * max(1.0, float(np.linalg.norm(g)) ** 2)
+    r = g.T @ np.concatenate((g[2:], -g[:2]))
+    r -= J4
+    defect = math.sqrt(np.vdot(r, r))
+    return defect, defect <= SYMPLECTIC_TOL * max(1.0, float(np.vdot(g, g)))
 
 
 def _singular_values_pair(s) -> bool:
@@ -206,56 +209,51 @@ def symplectic_check(g) -> CheckResult:
     in_g = in_g and _singular_values_pair(np.linalg.svd(g, compute_uv=False))
     d_orth = float(np.linalg.norm(g.T @ g - np.eye(4)))
     in_k = in_g and d_orth <= K_TOL
-    u = None
-    if in_k:
-        u = recover_u2(g)
+    u = recover_u2(g) if in_k else None
     return CheckResult(in_g, in_k, d_sympl, d_orth, u)
 
 
-def _symplectic_sweep(q1: np.ndarray, cand: np.ndarray):
-    """Remove the span(q1, J q1) component and renormalize; None if degenerate."""
-    jq1 = J4 @ q1
-    w = cand - (q1 @ cand) * q1 - (jq1 @ cand) * jq1
-    nw = np.linalg.norm(w)
-    if nw < SWEEP_MIN_NORM:
-        return None
-    return w / nw
-
-
-def _unitary_gs(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The 2x2 unitary from Gram-Schmidt on the real 4-vectors x, y read as
-    C^2 columns (v0 + i v2, v1 + i v3): x normalised, then y made orthogonal
-    to it and normalised."""
-    x0, x1, x2, x3 = x.tolist()
-    y0, y1, y2, y3 = y.tolist()
+def _unitary_gs(x, ys):
+    """Unit columns (a, b), (c, d) of a unitary by Gram-Schmidt on real 4-vectors
+    read as C^2 columns (v0 + i v2, v1 + i v3): x, then the first y in ys whose
+    part off the complex line of x has norm >= SWEEP_MIN_NORM, projected twice
+    (once leaves it off orthogonal by eps/norm, 2e-13 at SWEEP_MIN_NORM)."""
+    x0, x1, x2, x3 = x
     n = math.hypot(x0, x1, x2, x3)
-    a, b = complex(x0, x2) / n, complex(x1, x3) / n
-    c, d = complex(y0, y2), complex(y1, y3)
-    p = a.conjugate() * c + b.conjugate() * d
-    c, d = c - p * a, d - p * b
-    m = math.hypot(c.real, c.imag, d.real, d.imag)
-    return np.array([[a, c / m], [b, d / m]])
+    a, b = complex(x0 / n, x2 / n), complex(x1 / n, x3 / n)
+    ac, bc = a.conjugate(), b.conjugate()
+    for y0, y1, y2, y3 in ys:
+        c, d = complex(y0, y2), complex(y1, y3)
+        p = ac * c + bc * d
+        c, d = c - p * a, d - p * b
+        if math.hypot(c.real, c.imag, d.real, d.imag) >= SWEEP_MIN_NORM:
+            p = ac * c + bc * d
+            c, d = c - p * a, d - p * b
+            m = math.hypot(c.real, c.imag, d.real, d.imag)
+            return a, b, c / m, d / m
+    raise DecompositionError("failed to build a symplectic singular basis")
 
 
 def kak_decompose(g) -> KakResult:
     """Decompose g = k1 D(a1, a2) k2 with k1, k2 in K and a1 >= a2 >= 0.
 
     From one SVD of g: a1 = log s1 and a2 = max(0, log s2).  k2^T is the
-    embedding of the Gram-Schmidt unitary of (q1, q2), q1 the top right
-    singular vector and q2 the first later one with a unit part off
-    span(q1, J q1) (inside a cluster at a chamber wall any such vector
-    serves); k1 is that of (g q1 e^-a1, g q2 e^-a2).  SymplecticError is
-    raised where g fails the membership test of ``symplectic_check``, with
-    the singular values taken from the same SVD.  DecompositionError is
-    raised where alpha2's forward error eps s1/s2 exceeds ALPHA2_TOL, and
-    where the relative residual ||k1 D k2 - g||_F / ||g||_F, which is
-    returned, exceeds RESIDUAL_TOL.
+    embedding of the Gram-Schmidt unitary of (q1, q2) in C^2, q1 the top
+    right singular vector and q2 the first later one with a part off the
+    complex line of q1 (near the origin any such vector serves); k1 is that
+    of (g q1, g q2), q1 and q2 as Gram-Schmidt returned them.
+    SymplecticError is raised where g fails the membership test of
+    ``symplectic_check``, with the singular values taken from the same SVD.
+    DecompositionError is raised where alpha2's forward error eps s1/s2
+    exceeds ALPHA2_TOL, and where the relative residual
+    ||k1 D k2 - g||_F / ||g||_F, which is returned, exceeds RESIDUAL_TOL.
     """
     g = np.asarray(g, dtype=float)
     defect, in_g = _symplectic_defect(g)
     if not in_g:
         raise SymplecticError(f"input is not symplectic (defect {defect:.3e})")
     _, s, vt = np.linalg.svd(g)
+    s = s.tolist()
     if not _singular_values_pair(s):
         raise SymplecticError(
             f"singular values {s[0]:.3e}, {s[1]:.3e}, {s[2]:.3e}, {s[3]:.3e} "
@@ -269,19 +267,17 @@ def kak_decompose(g) -> KakResult:
         )
     alpha1 = math.log(s[0])
     alpha2 = max(0.0, math.log(s[1]))
-    q1 = vt[0]
-    q2 = next(
-        (q for q in (_symplectic_sweep(q1, v) for v in vt[1:]) if q is not None),
-        None,
-    )
-    if q2 is None:
-        raise DecompositionError("failed to build a symplectic singular basis")
-    u2 = _unitary_gs(q1, q2).conj().T
-    e1, e2 = math.exp(alpha1), math.exp(alpha2)
-    u1 = _unitary_gs(g @ q1 / e1, g @ q2 / e2)
+    q1, *later = vt.tolist()
+    a, b, c, d = _unitary_gs(q1, later)
+    u2 = np.array([[a.conjugate(), b.conjugate()], [c.conjugate(), d.conjugate()]])
+    q = np.array([[a.real, b.real, a.imag, b.imag], [c.real, d.real, c.imag, d.imag]])
+    gq1, gq2 = (q @ g.T).tolist()  # from one product; Gram-Schmidt drops their scales
+    a, b, c, d = _unitary_gs(gq1, (gq2,))
+    u1 = np.array([[a, c], [b, d]])
     k1, k2 = embed_u2(u1), embed_u2(u2)
-    d = np.array([e1, e2, math.exp(-alpha1), math.exp(-alpha2)])
-    residual = float(np.linalg.norm((k1 * d) @ k2 - g) / math.hypot(*s))
+    r = (k1 * [math.exp(alpha1), math.exp(alpha2), math.exp(-alpha1), math.exp(-alpha2)]) @ k2
+    r -= g
+    residual = math.sqrt(np.vdot(r, r)) / math.hypot(*s)
     if residual > RESIDUAL_TOL:
         raise DecompositionError(
             f"relative decomposition residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e}"
@@ -299,12 +295,10 @@ def matrix_to_json(m) -> str:
 
 
 def matrix_from_json(text: str) -> np.ndarray:
+    """A 4x4 matrix from {"rows": [...]} or a bare list of 4 rows of 4 JSON numbers."""
     obj = json.loads(text)
     rows = obj["rows"] if isinstance(obj, dict) else obj
-    m = np.asarray(rows, dtype=float)
-    if m.shape != (4, 4):
-        raise ValueError("expected a 4x4 matrix")
-    return m
+    return np.array(json_square(rows, 4, "matrix rows"))
 
 
 def kak_to_json(res: KakResult) -> str:

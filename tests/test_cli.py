@@ -184,6 +184,27 @@ def test_kak_rejects_rank_one_input(tmp_path, capsys):
     assert json.loads(err)["error"] == "SymplecticError"
 
 
+_EYE_ROWS = np.eye(4).tolist()
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[v == 1.0 for v in row] for row in _EYE_ROWS], "matrix rows True is not a number"),
+        ([["1", 0, 0, 0]] + _EYE_ROWS[1:], "matrix rows '1' is not a number"),
+        ([[1, 0, 0, 0], [0, 1, 0]] + _EYE_ROWS[2:], "matrix rows must be an 4 x 4 array"),
+    ],
+    ids=["bool", "numeric-string", "ragged-row"],
+)
+def test_kak_rejects_non_numeric_rows(tmp_path, capsys, rows, message):
+    src = tmp_path / "g.json"
+    src.write_text(json.dumps({"rows": rows}))
+    code, out, err = run(capsys, "kak", "--in", str(src))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "ValueError", "message": message}
+
+
 def test_kak_subcommand_wide_chamber(tmp_path, capsys):
     # rounding in g^T J g is about 2e-9 here, above an absolute 1e-9
     rng = np.random.default_rng(0)

@@ -297,16 +297,25 @@ def test_ascent_never_lowers_the_start_value(psi, x0, p):
     assert iters <= cfg.max_iter
 
 
-@pytest.mark.xfail(strict=True, reason="(s/||s||_q)^(q-1) amplifies rounding at q >> 1")
 def test_ascent_value_is_witness_ratio_near_p_one():
-    # At p = 1 + 1e-6 (q ~ 1e6) the dual witness of the identity is off the
-    # unit sphere of S^p by ~4e-11, so the ascent's value is not the ratio of
-    # the witness it returns.  ms_norm_lower reports the witness ratio, so its
-    # bounds stay valid; the ascent's own comparisons are off by that much.
+    # At p = 1 + 1e-6 (q ~ 1e6) a dual witness weighted by (s/||s||_q)^(q-1)
+    # left the unit sphere of S^p by ~4e-11, so the ascent's value was not the
+    # ratio of the witness it returned; weights r^(q-1) (sum r^q)^((1-q)/q),
+    # r = s/s_1, stay on it.
     p, psi = 1.0 + 1e-6, np.eye(4, dtype=complex)
     x0, rng = np.ones((4, 4)), np.random.default_rng(0)
     val, witness, _, _ = sc._ascend(psi, p, x0, sc.SearchConfig(), rng)
     assert abs(val - sc._ratio(psi, witness, p)) <= 1e-12 * val
+
+
+@pytest.mark.parametrize("p", [1.0 + 1e-9, 1.5, 3.0, 1e6])
+def test_dual_witness_keeps_zero_singular_values_at_weight_zero(p):
+    # 0^(p-1) = 0 raises no RuntimeWarning (an error under pytest)
+    y = np.diag([3.0, 3.0, 0.0, 0.0]).astype(complex)
+    val, w = sc._norm_and_gradient(y, p, np.random.default_rng(0))
+    assert val == pytest.approx(3.0 * 2.0 ** (1.0 / p), rel=1e-15)
+    want = [2.0 ** (1.0 / p - 1.0)] * 2 + [0.0] * 2
+    assert_allclose(np.linalg.svd(w, compute_uv=False), want, rtol=1e-15)
 
 
 @given(

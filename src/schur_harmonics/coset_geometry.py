@@ -20,13 +20,10 @@ difference would cancel catastrophically.
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
-from dataclasses import dataclass
 
 __all__ = [
-    "CosetParams",
     "log_sinh",
     "asinh_exp",
     "su2_label",
@@ -36,8 +33,6 @@ __all__ = [
     "solve_bg",
     "rel_gap",
     "residuals",
-    "chamber_scan",
-    "scan_to_csv",
 ]
 
 _LOG2 = math.log(2.0)
@@ -80,41 +75,6 @@ def _finite_pair(x: float, y: float) -> tuple:
 def su2_label(a: float, b: float, c: float, d: float) -> float:
     """Double-coset label of a special unitary with rows (a+ib, -c+id)."""
     return a * a - b * b + c * c - d * d
-
-
-@dataclass(frozen=True)
-class CosetParams:
-    """All scalars tying one matrix construction to the chamber.
-
-    ``alpha`` and either (a, b) or r describe the construction; (beta,
-    gamma) is its chamber pair, with beta >= gamma >= 0, and (s, t) solves
-    the matching system for that pair.
-    """
-
-    alpha: float
-    beta: float
-    gamma: float
-    s: float
-    t: float
-    a: float | None = None
-    b: float | None = None
-    r: float | None = None
-
-    def __post_init__(self):
-        if self.alpha < 0 or self.gamma < -1e-12 or self.beta < self.gamma - 1e-12:
-            raise ValueError("need alpha >= 0 and beta >= gamma >= 0")
-
-    @classmethod
-    def from_hyperbola(cls, alpha: float, a: float, b: float) -> "CosetParams":
-        beta, gamma = solve_hyperbola(alpha, a, b)
-        s, t = solve_st(beta, gamma)
-        return cls(alpha, beta, gamma, s, t, a=a, b=b)
-
-    @classmethod
-    def from_circle(cls, alpha: float, r: float) -> "CosetParams":
-        beta, gamma = solve_circle(alpha, r)
-        s, t = solve_st(beta, gamma)
-        return cls(alpha, beta, gamma, s, t, r=r)
 
 
 def solve_hyperbola(alpha: float, a: float, b: float) -> tuple:
@@ -323,28 +283,3 @@ def residuals(system: str, given: tuple, solution: tuple) -> dict:
         raise ValueError(f"unknown sinh system {system!r}")
     return {"product_rel": rel_gap(_log_prod(x, y), want)}
 
-
-def chamber_scan(beta_max: float, grid: int) -> list:
-    """Solve the (s, t) system on a triangular chamber grid.
-
-    Returns one row per grid point: (beta, gamma, s, t, residual,
-    ineq_margin), where the residual is the worst relative equation defect
-    and the margin is min(s - beta/4, t - gamma/2) >= 0.
-    """
-    rows = []
-    for beta in [beta_max * i / (grid - 1) for i in range(grid)]:
-        for gamma in [beta * j / (grid - 1) for j in range(grid)]:
-            s, t = solve_st(beta, gamma)
-            res = residuals("st", (beta, gamma), (s, t))
-            residual = max(abs(r) for r in res.values())
-            margin = min(s - beta / 4.0, t - gamma / 2.0)
-            rows.append((beta, gamma, s, t, residual, margin))
-    return rows
-
-
-def scan_to_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["beta", "gamma", "s", "t", "residual", "ineq_margin"])
-        for row in rows:
-            writer.writerow([f"{x:.17g}" for x in row])

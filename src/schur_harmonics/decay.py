@@ -41,7 +41,6 @@ __all__ = [
     "SeriesSum",
     "power_series_sum",
     "chain_constants",
-    "decay_bound",
     "norm_certificate",
     "constants_table",
     "write_constants_csv",
@@ -147,8 +146,8 @@ def power_series_sum(kappa: float, n_terms: int = SERIES_TERMS) -> SeriesSum:
     rounding allowance, which assumes each libm pow within 1 ulp and
     counts the rounding of every other operation.
     """
-    if kappa >= -1.0:
-        raise ValueError("series diverges for exponent >= -1")
+    if not kappa < -1.0:  # NaN fails this too
+        raise ValueError("series converges only for exponent < -1")
     if n_terms < 8:
         raise ValueError("need at least 8 explicit terms")
     head = math.fsum(map(pow, range(1, n_terms + 1), itertools.repeat(kappa)))
@@ -259,11 +258,6 @@ def chain_constants(
         p, c_u2, *near, series_terms, branches,
         dict(zip(_CONSTANT_NAMES, zip(lo, hi))),
     )
-
-
-def decay_bound(alpha1: float, alpha2: float, consts: DecayConstants) -> float:
-    """Per-unit-norm decay ceiling C1 exp(-C2 ||alpha||_2) at a chamber point."""
-    return consts.c1 * math.exp(-consts.c2 * math.hypot(alpha1, alpha2))
 
 
 def norm_certificate(samples, consts: DecayConstants) -> float:

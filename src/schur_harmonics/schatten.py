@@ -24,10 +24,8 @@ __all__ = [
     "NormEstimate",
     "MultiplierSymbol",
     "schatten_norm",
-    "schur_apply",
     "ms_norm_lower",
     "cb_lower_bound",
-    "sample_symbol",
     "symbol_to_json",
     "symbol_from_json",
     "estimate_report",
@@ -71,15 +69,9 @@ class NormEstimate:
 
 @dataclass
 class MultiplierSymbol:
-    """A complex symbol on a finite point grid.
-
-    ``row_points``/``col_points`` carry opaque labels when the symbol was
-    sampled from a two-point function on a group; they play no numeric role.
-    """
+    """A complex symbol on a finite point grid."""
 
     values: np.ndarray
-    row_points: tuple | None = None
-    col_points: tuple | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -118,15 +110,6 @@ def schatten_norm(x, p: float) -> float:
         return float(top)
     # scaled by the largest singular value so s**p neither overflows nor underflows
     return float(top * np.sum((s / top) ** p) ** (1.0 / p))
-
-
-def schur_apply(psi, x) -> np.ndarray:
-    """Entrywise product of a symbol with a matrix (inputs unmodified)."""
-    psi_v = psi.values if isinstance(psi, MultiplierSymbol) else _as_matrix(psi)
-    a = _as_matrix(x)
-    if psi_v.shape != a.shape:
-        raise ValueError("symbol and matrix dimensions differ")
-    return psi_v * a
 
 
 def _norm_and_gradient(y: np.ndarray, p: float, rng: np.random.Generator):
@@ -277,21 +260,6 @@ def cb_lower_bound(psi, p: float, m: int, cfg: SearchConfig | None = None) -> fl
     amp_cfg = replace(cfg, warm_starts=cfg.warm_starts + (embedded,))
     est = ms_norm_lower(MultiplierSymbol(big), p, amp_cfg)
     return max(est.value, base.value)
-
-
-def sample_symbol(phi_check, points) -> MultiplierSymbol:
-    """Sample a two-point function on a finite point set into a symbol.
-
-    ``phi_check(x, y)`` must be evaluable at every pair; the (i, j) entry of
-    the result is phi_check(points[i], points[j]).
-    """
-    pts = list(points)
-    n = len(pts)
-    vals = np.empty((n, n), dtype=complex)
-    for i, xi in enumerate(pts):
-        for j, yj in enumerate(pts):
-            vals[i, j] = phi_check(xi, yj)
-    return MultiplierSymbol(vals, tuple(pts), tuple(pts))
 
 
 def symbol_to_json(sym: MultiplierSymbol) -> str:

@@ -20,11 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "jacobi_eval",
     "jacobi_all",
     "legendre_all",
     "spherical_u2",
-    "spherical_su2",
     "HoelderScanReport",
     "hoelder_bound_check",
     "empirical_u2_constant",
@@ -34,7 +32,7 @@ __all__ = [
 
 def _check_interval(x, lo=-1.0, hi=1.0):
     x = np.asarray(x, dtype=float)
-    if np.any(x < lo) or np.any(x > hi):
+    if not (np.all(x >= lo) and np.all(x <= hi)):  # NaN fails both
         raise ValueError(f"argument outside [{lo}, {hi}]")
     return x
 
@@ -75,17 +73,6 @@ def jacobi_all(nmax: int, a: float, b: float, x) -> np.ndarray:
     return out
 
 
-def jacobi_eval(n: int, a: float, b: float, x):
-    """Value of the degree-n Jacobi polynomial with exponents (a, b) at x.
-
-    x must lie in [-1, 1]; anything outside raises a ValueError.  Scalar in,
-    scalar out; array in, array out.
-    """
-    scalar = np.isscalar(x)
-    vals = jacobi_all(n, a, b, x)[n]
-    return float(vals[0]) if scalar else vals
-
-
 def legendre_all(nmax: int, x) -> np.ndarray:
     """Legendre polynomials of all degrees 0..nmax (the a = b = 0 case)."""
     return jacobi_all(nmax, 0.0, 0.0, x)
@@ -118,15 +105,6 @@ def spherical_u2(l: int, m: int, z):
     else:
         vals = np.conj(z) ** (m - l) * jacobi_all(l, 0.0, m - l, x)[l]
     return complex(vals[0]) if scalar else vals
-
-
-def spherical_su2(n: int, r):
-    """Zonal function of the pair (SU(2), SO(2)): the Legendre value P_n(r)."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    scalar = np.isscalar(r)
-    vals = legendre_all(n, r)[n]
-    return float(vals[0]) if scalar else vals
 
 
 @dataclass

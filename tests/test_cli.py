@@ -334,6 +334,15 @@ def test_coeffs_subcommand(tmp_path, capsys):
     assert csv_path.read_text().startswith("pair,")
 
 
+def test_coeffs_spectrum_at_large_p(tmp_path, capsys):
+    # |c|^p alone overflows here: 10^400
+    src = tmp_path / "spec.json"
+    src.write_text(gf.spectrum_to_json(gf.CoefficientSpectrum("su2", {0: 10.0, 1: 1.0}, 1)))
+    code, out, err = run(capsys, "coeffs", "--family", "su2", "-L", "1", "--spectrum", str(src), "--p", "400")
+    assert code == 0, err
+    assert_allclose(json.loads(out)["lp_lower_bound"], 10.0, rtol=1e-15)
+
+
 @pytest.mark.parametrize(
     "pair, row, message",
     [

@@ -43,18 +43,6 @@ def test_su2_label():
     assert_allclose(cg.su2_label(0.5, 0.5, 0.5, 0.5), 0.0)
 
 
-def test_coset_params_constructors():
-    p = cg.CosetParams.from_hyperbola(1.0, 0.3, 0.5)
-    assert p.beta >= p.gamma >= 0.0
-    assert (p.beta, p.gamma) == cg.solve_hyperbola(1.0, 0.3, 0.5)
-    assert (p.s, p.t) == cg.solve_st(p.beta, p.gamma)
-    q = cg.CosetParams.from_circle(0.8, 0.4)
-    assert (q.beta, q.gamma) == cg.solve_circle(0.8, 0.4)
-    assert q.r == 0.4 and q.a is None
-    with pytest.raises(ValueError):
-        cg.CosetParams(1.0, 0.5, 1.0, 0.3, 0.3)
-
-
 # ---------------------------------------------------------------------------
 # solve_hyperbola
 
@@ -484,17 +472,6 @@ def test_st_residuals_small_on_chamber(beta, frac):
         return
     res = cg.residuals("st", (beta, gamma), solution)
     assert all(abs(r) <= 1e-10 for r in res.values())
-
-
-def test_chamber_scan_csv(tmp_path):
-    rows = cg.chamber_scan(10.0, 8)
-    assert len(rows) == 64
-    assert all(r[4] <= 1e-10 and r[5] >= -1e-9 for r in rows)
-    path = tmp_path / "scan.csv"
-    cg.scan_to_csv(rows, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "beta,gamma,s,t,residual,ineq_margin"
-    assert len(lines) == 65
 
 
 def test_overflow_regime():

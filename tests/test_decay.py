@@ -25,6 +25,12 @@ def test_power_series_guards():
         decay.power_series_sum(-0.5)
 
 
+@pytest.mark.parametrize("kappa", [math.nan, math.inf])
+def test_power_series_rejects_non_finite_exponent(kappa):
+    with pytest.raises(ValueError, match="exponent < -1"):
+        decay.power_series_sum(kappa)
+
+
 # The exponents chain_constants sums are 0.5 - p/8 and -p/4.
 _ENCLOSURE_PS = [12.001, 12.01] + [float(p) for p in np.linspace(12.5, 1000.0, 200)]
 
@@ -226,17 +232,6 @@ def test_default_c_u2_uses_scan_with_safety_factor():
     assert_allclose(c.c_u2, 1.5 * empirical_u2_constant(), rtol=1e-13)
 
 
-def test_decay_bound_shape():
-    consts = decay.chain_constants(24.0, 1.0)
-    assert decay.decay_bound(0.0, 0.0, consts) == consts.c1
-    taus = np.linspace(0.0, 40.0, 9)
-    vals = [decay.decay_bound(t, 0.0, consts) for t in taus]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-    for tau in (1.0, 5.0, 20.0):
-        ratio = decay.decay_bound(2 * tau, tau, consts) / decay.decay_bound(0, 0, consts)
-        assert_allclose(ratio, math.exp(-consts.c2 * tau * math.sqrt(5.0)), rtol=1e-12)
-
-
 def test_certificate_trivial_cases():
     consts = decay.chain_constants(24.0, 1.0)
     zero = decay.norm_certificate(
@@ -258,7 +253,7 @@ def test_certificate_saturation_duality():
     consts = decay.chain_constants(24.0, 1.0)
     pts = [(0.0, 0.0), (3.0, 1.0), (10.0, 4.0), (25.0, 0.0)]
     samples = [
-        decay.DecaySample(a1, a2, decay.decay_bound(a1, a2, consts), 0.0)
+        decay.DecaySample(a1, a2, consts.c1 * math.exp(-consts.c2 * math.hypot(a1, a2)), 0.0)
         for a1, a2 in pts
     ]
     assert abs(decay.norm_certificate(samples, consts) - 1.0) <= 1e-12

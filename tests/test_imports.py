@@ -4,6 +4,7 @@ Each check runs in a fresh interpreter, because this test process has long
 since imported numpy and every submodule.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -104,3 +105,13 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
         schur_harmonics.frobnicate
     assert not hasattr(schur_harmonics, "cli_helpers")
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_star_import_exports_only_defined_names(name):
+    module = importlib.import_module("schur_harmonics." + name)
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert not missing, f"{name}.__all__ names undefined {missing}"
+    ns = {}
+    exec(f"from schur_harmonics.{name} import *", ns)
+    assert set(module.__all__) <= set(ns)

@@ -98,36 +98,6 @@ def test_norm_of_stack_is_norm_of_block_diagonal(p):
 
 
 # ---------------------------------------------------------------------------
-# schur_apply
-
-
-def test_schur_apply_identity_symbol():
-    rng = np.random.default_rng(4)
-    x = random_complex(rng, 4)
-    assert_allclose(sc.schur_apply(np.ones((4, 4)), x), x)
-
-
-def test_schur_apply_diagonal_indicator():
-    rng = np.random.default_rng(5)
-    x = random_complex(rng, 4)
-    out = sc.schur_apply(np.eye(4), x)
-    assert_allclose(out, np.diag(np.diag(x)))
-
-
-def test_schur_apply_matrix_unit():
-    rng = np.random.default_rng(6)
-    psi = random_complex(rng, 3)
-    e = np.zeros((3, 3))
-    e[1, 2] = 1.0
-    assert_allclose(sc.schur_apply(psi, e), psi[1, 2] * e)
-
-
-def test_schur_apply_dim_mismatch():
-    with pytest.raises(ValueError):
-        sc.schur_apply(np.ones((2, 2)), np.ones((3, 3)))
-
-
-# ---------------------------------------------------------------------------
 # ms_norm_lower
 
 
@@ -375,17 +345,7 @@ def test_cb_memory_guard(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# sample_symbol
-
-
-def test_sample_symbol_constant():
-    sym = sc.sample_symbol(lambda x, y: 1.0, range(4))
-    assert_allclose(sym.values, np.ones((4, 4)))
-
-
-def test_sample_symbol_identity_pattern():
-    sym = sc.sample_symbol(lambda x, y: 1.0 if x == y else 0.0, ["e", "g"])
-    assert_allclose(sym.values, np.eye(2))
+# two-point functions
 
 
 def test_sample_symbol_bi_invariant_depends_on_kak_only():
@@ -398,11 +358,10 @@ def test_sample_symbol_bi_invariant_depends_on_kak_only():
         res = sp.kak_decompose(np.linalg.inv(x) @ y)
         return math.exp(-(res.alpha1 + 0.5 * res.alpha2))
 
-    sym = sc.sample_symbol(phi_check, pts)
     for i in range(5):
         for j in range(5):
             expected = math.exp(-abs(ts[j] - ts[i]))
-            assert_allclose(sym.values[i, j], expected, rtol=1e-10)
+            assert_allclose(phi_check(pts[i], pts[j]), expected, rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy.special import binom
 
+from schur_harmonics import gelfand as gf
 from schur_harmonics import special_fn as sf
 
 
@@ -37,12 +38,12 @@ def test_jacobi_at_one_is_binomial():
     for n in range(9):
         for a in (0.0, 1.0, 2.5):
             assert_allclose(
-                sf.jacobi_eval(n, a, 0.7, 1.0), binom(n + a, n), rtol=1e-12
+                sf.jacobi_all(n, a, 0.7, 1.0)[n, 0], binom(n + a, n), rtol=1e-12
             )
 
 
 def test_central_legendre_value():
-    assert_allclose(sf.jacobi_eval(10, 0, 0, 0.0), -63.0 / 256.0, atol=1e-15)
+    assert_allclose(sf.legendre_all(10, 0.0)[10, 0], -63.0 / 256.0, atol=1e-15)
 
 
 def test_recurrence_matches_monomial_expansion():
@@ -59,9 +60,24 @@ def test_recurrence_matches_monomial_expansion():
 
 def test_jacobi_domain_is_strict():
     with pytest.raises(ValueError):
-        sf.jacobi_eval(3, 0, 0, 1.0 + 1e-9)
+        sf.jacobi_all(3, 0, 0, 1.0 + 1e-9)
     with pytest.raises(ValueError):
-        sf.jacobi_eval(3, 0, 0, -1.1)
+        sf.jacobi_all(3, 0, 0, -1.1)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda x: sf.jacobi_all(2, 0, 0, x),
+        lambda x: gf.synthesize(gf.CoefficientSpectrum("su2", {0: 1.0, 2: 0.5j}, 2))(x),
+        lambda x: gf.synthesize(gf.CoefficientSpectrum("u2", {(0, 0): 1.0, (2, 1): 0.5j}, 2))(x),
+    ],
+    ids=["jacobi", "synthesize-su2", "synthesize-u2"],
+)
+def test_nan_argument_is_rejected(evaluate):
+    for x in ([np.nan], [0.3, np.nan, -0.2], np.nan):
+        with pytest.raises(ValueError, match="outside"):
+            evaluate(x)
 
 
 def test_spherical_u2_examples():
@@ -102,10 +118,9 @@ def test_spherical_u2_domain():
 
 def test_spherical_su2_examples():
     r = np.linspace(-1, 1, 9)
-    assert_allclose(sf.spherical_su2(1, r), r, atol=1e-15)
-    assert_allclose(sf.spherical_su2(2, 0.4), -0.26, atol=1e-14)
-    for n in (0, 3, 17):
-        assert_allclose(sf.spherical_su2(n, 1.0), 1.0, atol=1e-12)
+    assert_allclose(sf.legendre_all(1, r)[1], r, atol=1e-15)
+    assert_allclose(sf.legendre_all(2, 0.4)[2, 0], -0.26, atol=1e-14)
+    assert_allclose(sf.legendre_all(17, 1.0)[[0, 3, 17], 0], 1.0, atol=1e-12)
 
 
 def test_legendre_sign_changes():

@@ -1,9 +1,12 @@
 """Batch experiment runner: every module behind one subcommand.
 
-All numeric logic lives in the library modules; this file only parses
-arguments, moves JSON/CSV around, and maps failures to exit codes:
-0 success, 2 validation error, 3 numeric failure.  Errors are also written
-as structured JSON on stderr.  Identical configuration and seed produce
+All numeric logic lives in the library modules, which return values; this
+file parses arguments, owns every output format, and maps failures to exit
+codes: 0 success, 2 validation error, 3 numeric failure.  Each subcommand
+builds its JSON payload or CSV rows where it writes them.  JSON is sorted
+and indented; every CSV file has one format, a header row, LF line ends
+and floats as %.17g, written by ``_write_csv``.  Errors are also written as
+structured JSON on stderr.  Identical configuration and seed produce
 byte-identical output files.  Subcommands import the numpy-backed modules
 they use, so ``solve``, ``constants`` and ``certify --c-u2`` start without numpy.
 """
@@ -35,6 +38,16 @@ def _emit(payload: dict, path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_csv(path: str, header: list, rows) -> None:
+    import csv
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{x:.17g}" if isinstance(x, float) else x for x in row])
 
 
 def _read(path: str) -> str:
@@ -71,7 +84,8 @@ def _cmd_norm(args) -> int:
         report.update({"value": value, "seed": args.seed, "iterations": None})
     else:
         est = schatten.ms_norm_lower(sym, p, cfg)
-        report.update(schatten.estimate_report(est))
+        report.update({"value": est.value, "iterations": est.iterations, "seed": est.seed,
+                       "converged": est.converged})
     _emit(report, args.output)
     return EXIT_OK
 
@@ -80,7 +94,8 @@ def _cmd_kak(args) -> int:
     from . import symplectic
     g = symplectic.matrix_from_json(_read(args.infile))
     res = symplectic.kak_decompose(g)
-    payload = json.loads(symplectic.kak_to_json(res))
+    payload = {"alpha1": res.alpha1, "alpha2": res.alpha2, "residual": res.residual,
+               "k1": res.k1.tolist(), "k2": res.k2.tolist()}
     _emit(payload, args.output)
     return EXIT_OK
 
@@ -152,7 +167,10 @@ def _cmd_coeffs(args) -> int:
     payload["p"] = args.p
     _emit(payload, args.output)
     if args.csv:
-        gelfand.spectrum_to_csv(spec, args.csv)
+        rows = ([spec.pair, *idx, sum(idx), abs(c), spec.dim(idx)] if spec.pair == "u2"
+                else [spec.pair, "", idx, idx, abs(c), spec.dim(idx)]
+                for idx, c in sorted(spec.items()))
+        _write_csv(args.csv, ["pair", "l", "m_or_n", "degree", "abs_c", "dim"], rows)
     return EXIT_OK
 
 
@@ -160,7 +178,8 @@ def _cmd_holder(args) -> int:
     from . import special_fn
     report = special_fn.hoelder_bound_check(args.family, args.max_degree, args.grid)
     if args.output:
-        special_fn.scan_report_to_csv(report, args.output)
+        header = ["family", "l", "m_or_n", "bound_kind", "empirical_C", "violations"]
+        _write_csv(args.output, header, ([row[k] for k in header] for row in report.rows))
     summary = {
         "family": report.family,
         "max_degree": report.max_degree,
@@ -181,8 +200,11 @@ def _cmd_constants(args) -> int:
     step = (args.p_max - args.p_min) / max(args.steps - 1, 1)
     ps = [args.p_min + i * step for i in range(args.steps)]
     ps = ps[:-1] + [args.p_max] if args.steps > 1 else ps
-    rows = decay.constants_table(ps, args.c_u2, args.series_terms)
-    decay.write_constants_csv(rows, args.output)
+    consts = [decay.chain_constants(p, args.c_u2, args.series_terms) for p in ps]
+    _write_csv(
+        args.output, ["p", "C_tilde", "C_hat", "C3", "C4", "C5", "C5p", "C6", "C1", "C2"],
+        ([c.p, c.c_tilde, c.c_hat, c.c3, c.c4, c.c5, c.c5_prime, c.c6, c.c1, c.c2] for c in consts),
+    )
     return EXIT_OK
 
 
@@ -253,18 +275,8 @@ def _cmd_xcheck(args) -> int:
         worst = max(worst, err)
         rows.append(["circle", alpha, r, "", beta, gamma, res.alpha1, res.alpha2, err])
     if args.output:
-        import csv as _csv
-
-        with open(args.output, "w", newline="") as fh:
-            writer = _csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["system", "alpha", "param1", "param2", "beta", "gamma",
-                 "kak_alpha1", "kak_alpha2", "err"]
-            )
-            for row in rows:
-                writer.writerow(
-                    [row[0]] + [x if x == "" else f"{x:.17g}" for x in row[1:]]
-                )
+        _write_csv(args.output, ["system", "alpha", "param1", "param2", "beta", "gamma",
+                                 "kak_alpha1", "kak_alpha2", "err"], rows)
     sys.stdout.write(json.dumps({"instances": len(rows), "worst_err": worst}) + "\n")
     if worst > args.tol:
         raise NumericFailure(f"solver/KAK mismatch {worst:.3e} above {args.tol:.1e}")

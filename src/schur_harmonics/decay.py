@@ -29,7 +29,6 @@ constant carries a (lo, hi) enclosure a few tens of ulp wide, and
 from __future__ import annotations
 
 import cmath
-import csv
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -42,8 +41,6 @@ __all__ = [
     "power_series_sum",
     "chain_constants",
     "norm_certificate",
-    "constants_table",
-    "write_constants_csv",
 ]
 
 # explicit terms summed before the Euler-Maclaurin tail
@@ -285,24 +282,3 @@ def norm_certificate(samples, consts: DecayConstants) -> float:
         growth = _down(math.exp(_down(c2_lo * radius)), _LIBM_STEPS)
         best = max(best, _down(_down(gap * growth) / c1_hi))
     return best
-
-
-def constants_table(p_values, c_u2: float, series_terms: int = SERIES_TERMS) -> list:
-    """Chain constants on a p-grid as rows of plain floats."""
-    rows = []
-    for p in p_values:
-        c = chain_constants(float(p), c_u2, series_terms)
-        rows.append(
-            [c.p, c.c_tilde, c.c_hat, c.c3, c.c4, c.c5, c.c5_prime, c.c6, c.c1, c.c2]
-        )
-    return rows
-
-
-def write_constants_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["p", "C_tilde", "C_hat", "C3", "C4", "C5", "C5p", "C6", "C1", "C2"]
-        )
-        for row in rows:
-            writer.writerow([f"{x:.17g}" for x in row])

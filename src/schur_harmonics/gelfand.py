@@ -23,7 +23,6 @@ dual route checked by the tests.
 from __future__ import annotations
 
 import cmath
-import csv
 import functools
 import json
 import warnings
@@ -52,7 +51,6 @@ __all__ = [
     "k_average",
     "spectrum_to_json",
     "spectrum_from_json",
-    "spectrum_to_csv",
 ]
 
 
@@ -75,6 +73,9 @@ class CoefficientSpectrum:
     def __post_init__(self):
         if self.pair not in ("u2", "su2"):
             raise ValueError("pair must be 'u2' or 'su2'")
+        for idx, c in self.coeffs.items():
+            if not cmath.isfinite(c):
+                raise ValueError(f"coefficient {idx} is not finite")
 
     def dim(self, idx) -> int:
         if self.pair == "u2":
@@ -435,20 +436,4 @@ def spectrum_from_json(text: str) -> CoefficientSpectrum:
         else:
             idx = json_int(row["n"], "index")
         coeffs[idx] = complex(json_real(row["re"], "re"), json_real(row["im"], "im"))
-        if not cmath.isfinite(coeffs[idx]):
-            raise ValueError(f"coefficient {idx} is not finite")
     return CoefficientSpectrum(pair, coeffs, json_int(obj["truncation"], "truncation"))
-
-
-def spectrum_to_csv(spec: CoefficientSpectrum, path) -> None:
-    """|c| against degree, for plotting."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["pair", "l", "m_or_n", "degree", "abs_c", "dim"])
-        for idx, c in sorted(spec.items()):
-            if spec.pair == "u2":
-                writer.writerow(
-                    [spec.pair, idx[0], idx[1], idx[0] + idx[1], f"{abs(c):.17g}", spec.dim(idx)]
-                )
-            else:
-                writer.writerow([spec.pair, "", idx, idx, f"{abs(c):.17g}", spec.dim(idx)])

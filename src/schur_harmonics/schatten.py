@@ -28,7 +28,6 @@ __all__ = [
     "cb_lower_bound",
     "symbol_to_json",
     "symbol_from_json",
-    "estimate_report",
 ]
 
 
@@ -275,21 +274,3 @@ def symbol_from_json(text: str) -> MultiplierSymbol:
     n = json_int(obj["n"], "symbol size")
     re, im = (np.array(json_square(obj[f], n, "symbol " + f)) for f in ("re", "im"))
     return MultiplierSymbol(re + 1j * im)
-
-
-def estimate_report(est: NormEstimate, include_witness: bool = False) -> dict:
-    """JSON-ready search report (value/iterations/seed plus convergence)."""
-    report = {
-        "value": est.value,
-        "iterations": est.iterations,
-        "seed": est.seed,
-        "converged": est.converged,
-    }
-    if include_witness:
-        w = est.witness
-        report["witness"] = {
-            "n": w.shape[0],
-            "re": w.real.tolist(),
-            "im": w.imag.tolist(),
-        }
-    return report

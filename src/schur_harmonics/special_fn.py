@@ -12,7 +12,6 @@ hundred).
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -26,7 +25,6 @@ __all__ = [
     "HoelderScanReport",
     "hoelder_bound_check",
     "empirical_u2_constant",
-    "scan_report_to_csv",
 ]
 
 
@@ -111,19 +109,26 @@ def spherical_u2(l: int, m: int, z):
 class HoelderScanReport:
     """Outcome of a Hoelder-bound scan over one spherical family.
 
-    ``empirical_constants`` maps a bound shape to the smallest constant that
-    makes the bound hold over the whole scan.  ``rows`` holds one record per
-    (index, bound shape) for CSV export.  ``violations`` is only populated by
-    the SU(2) scan, where the bounds come with the explicit constant 4 and
-    are expected to hold with none.
+    ``rows`` holds one record per (index, bound shape) with the smallest
+    constant that makes that bound hold at that index.  ``violations`` is
+    only populated by the SU(2) scan, where the bounds come with the
+    explicit constant 4 and are expected to hold with none.
     """
 
     family: str
     max_degree: int
     grid: int
-    empirical_constants: dict = field(default_factory=dict)
     rows: list = field(default_factory=list)
     violations: list = field(default_factory=list)
+
+    @property
+    def empirical_constants(self) -> dict:
+        """Bound shape -> the smallest constant that makes it hold over the whole scan."""
+        worst = {}
+        for row in self.rows:
+            kind = row["bound_kind"]
+            worst[kind] = max(worst.get(kind, 0.0), row["empirical_C"])
+        return worst
 
     @property
     def empirical_c(self) -> float:
@@ -168,7 +173,6 @@ def _scan_su2(max_degree: int, grid: int) -> HoelderScanReport:
         ratio /= root_gap
         np.maximum(holder[:live], ratio.max(axis=1), out=holder[:live])
     report = HoelderScanReport("su2", max_degree, grid)
-    worst = {"uniform": 0.0, "lipschitz": 0.0, "holder_half": 0.0}
     for n in range(1, max_degree + 1):
         rn = math.sqrt(n)
         # Smallest constant making each bound shape hold at this degree.
@@ -193,12 +197,10 @@ def _scan_su2(max_degree: int, grid: int) -> HoelderScanReport:
                     {"n": n, "x": xs[i], "y": xs[j], "lhs": dp[i, j]}
                 )
         for kind, c in per_n.items():
-            worst[kind] = max(worst[kind], c)
             report.rows.append(
                 {"family": "su2", "l": "", "m_or_n": n, "bound_kind": kind,
                  "empirical_C": c, "violations": n_bad}
             )
-    report.empirical_constants = worst
     return report
 
 
@@ -224,15 +226,12 @@ def _scan_u2(max_degree: int, grid: int) -> HoelderScanReport:
             for j, peak in enumerate(zip((dh / dtheta).max(axis=1), dh.max(axis=1))):
                 peaks[(j + k, j) if sign > 0 else (j, j + k)] = peak
     report = HoelderScanReport("u2", max_degree, grid)
-    worst = {"lipschitz": 0.0, "uniform": 0.0}
     for l in range(max_degree + 1):
         for m in range(max_degree + 1 - l):
             lip, unif = peaks[(l, m)]
             dim = l + m + 1
             c_lip = lip / dim ** 0.75
             c_unif = unif * dim ** 0.25 / 2.0
-            worst["lipschitz"] = max(worst["lipschitz"], c_lip)
-            worst["uniform"] = max(worst["uniform"], c_unif)
             report.rows.append(
                 {"family": "u2", "l": l, "m_or_n": m, "bound_kind": "lipschitz",
                  "empirical_C": c_lip, "violations": 0}
@@ -241,7 +240,6 @@ def _scan_u2(max_degree: int, grid: int) -> HoelderScanReport:
                 {"family": "u2", "l": l, "m_or_n": m, "bound_kind": "uniform",
                  "empirical_C": c_unif, "violations": 0}
             )
-    report.empirical_constants = worst
     return report
 
 
@@ -270,15 +268,3 @@ def hoelder_bound_check(family: str, max_degree: int, grid: int) -> HoelderScanR
 def empirical_u2_constant(max_degree: int = 40, grid: int = 512) -> float:
     """Empirical uniform constant for the U(2) family bounds (cached)."""
     return hoelder_bound_check("u2", max_degree, grid).empirical_c
-
-
-def scan_report_to_csv(report: HoelderScanReport, path) -> None:
-    """Write a scan report as CSV with one row per (index, bound shape)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["family", "l", "m_or_n", "bound_kind", "empirical_C", "violations"])
-        for row in report.rows:
-            writer.writerow(
-                [row["family"], row["l"], row["m_or_n"], row["bound_kind"],
-                 f"{row['empirical_C']:.17g}", row["violations"]]
-            )

@@ -54,7 +54,6 @@ __all__ = [
     "haar_k",
     "matrix_to_json",
     "matrix_from_json",
-    "kak_to_json",
 ]
 
 J4 = np.block(
@@ -299,15 +298,3 @@ def matrix_from_json(text: str) -> np.ndarray:
     obj = json.loads(text)
     rows = obj["rows"] if isinstance(obj, dict) else obj
     return np.array(json_square(rows, 4, "matrix rows"))
-
-
-def kak_to_json(res: KakResult) -> str:
-    return json.dumps(
-        {
-            "alpha1": res.alpha1,
-            "alpha2": res.alpha2,
-            "residual": res.residual,
-            "k1": res.k1.tolist(),
-            "k2": res.k2.tolist(),
-        }
-    )

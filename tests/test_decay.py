@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.special import zeta
 
-from schur_harmonics import decay
+from schur_harmonics import cli, decay
 
 
 def test_power_series_matches_zeta_oracle():
@@ -303,9 +303,9 @@ def test_sample_must_be_finite(fields):
 
 
 def test_constants_table_csv(tmp_path):
-    rows = decay.constants_table([12.5, 24.0, 48.0], 1.0)
     path = tmp_path / "constants.csv"
-    decay.write_constants_csv(rows, path)
+    argv = ["constants", "--p-min", "12.5", "--p-max", "35.5", "--steps", "3", "--c-u2", "1.0"]
+    assert cli.main([*argv, "-o", str(path)]) == 0
     lines = path.read_text().splitlines()
     assert lines[0] == "p,C_tilde,C_hat,C3,C4,C5,C5p,C6,C1,C2"
     assert len(lines) == 4

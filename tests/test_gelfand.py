@@ -1,5 +1,6 @@
 """Tests for coefficient extraction, kernel operators, and averaging."""
 
+import json
 import math
 
 import mpmath
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
+from schur_harmonics import cli
 from schur_harmonics import gelfand as gf
 from schur_harmonics import schatten as sc
 from schur_harmonics.special_fn import legendre_all, spherical_u2
@@ -621,15 +623,30 @@ def test_spectrum_json_roundtrip():
 
 @pytest.mark.parametrize("re, im", [(float("nan"), 0.0), (0.0, float("inf"))])
 def test_spectrum_from_json_rejects_non_finite(re, im):
-    text = gf.spectrum_to_json(gf.CoefficientSpectrum("su2", {0: 1.0, 1: complex(re, im)}, 1))
+    rows = [{"n": 0, "re": 1.0, "im": 0.0}, {"n": 1, "re": re, "im": im}]
+    text = json.dumps({"pair": "su2", "truncation": 1, "coeffs": rows})
     with pytest.raises(ValueError, match="not finite"):
         gf.spectrum_from_json(text)
 
 
+def test_non_finite_coefficients_rejected():
+    def nan_phi(x):
+        return np.full(np.shape(x), np.nan)
+
+    with pytest.raises(ValueError, match="coefficient 0 is not finite"):
+        gf.coefficients_su2(nan_phi, 2)
+    with pytest.raises(ValueError, match=r"coefficient \(0, 0\) is not finite"):
+        gf.coefficients_u2(nan_phi, 2)
+    with pytest.raises(ValueError, match="coefficient 2 is not finite"):
+        gf.CoefficientSpectrum("su2", {0: 1.0, 2: complex(0.0, math.inf)}, 2)
+
+
 def test_spectrum_csv(tmp_path):
     spec = gf.CoefficientSpectrum("su2", {0: 1.0, 2: 0.5j}, 2)
-    path = tmp_path / "spec.csv"
-    gf.spectrum_to_csv(spec, path)
+    src, path = tmp_path / "spec.json", tmp_path / "spec.csv"
+    src.write_text(gf.spectrum_to_json(spec))
+    argv = ["coeffs", "--family", "su2", "-L", "2", "--spectrum", str(src), "--csv", str(path)]
+    assert cli.main(argv) == 0
     lines = path.read_text().splitlines()
     assert lines[0] == "pair,l,m_or_n,degree,abs_c,dim"
-    assert len(lines) == 3
+    assert len(lines) == 4  # the re-extracted spectrum has every n <= 2

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
+from schur_harmonics import cli
 from schur_harmonics import schatten as sc
 from schur_harmonics import symplectic as sp
 
@@ -375,11 +376,10 @@ def test_symbol_json_roundtrip():
     assert_allclose(back.values, sym.values)
 
 
-def test_estimate_report_fields():
-    est = sc.ms_norm_lower(np.ones((2, 2)), 4.0, sc.SearchConfig(restarts=2, seed=3))
-    report = sc.estimate_report(est)
-    assert set(report) == {"value", "iterations", "seed", "converged"}
-    json.dumps(report)
-    with_witness = sc.estimate_report(est, include_witness=True)
-    assert with_witness["witness"]["n"] == 2
-    json.dumps(with_witness)
+def test_estimate_report_fields(tmp_path):
+    src, out = tmp_path / "psi.json", tmp_path / "norm.json"
+    src.write_text(sc.symbol_to_json(sc.MultiplierSymbol(np.ones((2, 2)))))
+    argv = ["norm", "--in", str(src), "--p", "4", "--seed", "3", "--restarts", "2", "-o", str(out)]
+    assert cli.main(argv) == 0
+    report = json.loads(out.read_text())
+    assert set(report) == {"p", "n", "amplify", "value", "iterations", "seed", "converged"}

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy.special import binom
 
+from schur_harmonics import cli
 from schur_harmonics import gelfand as gf
 from schur_harmonics import special_fn as sf
 
@@ -292,7 +293,8 @@ def test_scan_validation():
 def test_scan_csv(tmp_path):
     report = sf.hoelder_bound_check("u2", 3, 128)
     path = tmp_path / "scan.csv"
-    sf.scan_report_to_csv(report, path)
+    argv = ["holder", "--family", "u2", "--max-degree", "3", "--grid", "128", "-o", str(path)]
+    assert cli.main(argv) == 0
     lines = path.read_text().splitlines()
     assert lines[0] == "family,l,m_or_n,bound_kind,empirical_C,violations"
     assert len(lines) == 1 + len(report.rows)

@@ -337,13 +337,15 @@ def test_kak_ordering_invariant():
         assert res.alpha1 >= res.alpha2 >= 0.0
 
 
-def test_matrix_json_roundtrip():
+def test_matrix_json_roundtrip(tmp_path):
     rng = np.random.default_rng(8)
     g = sp.haar_k(rng) @ sp.weyl_element(0.9, 0.2) @ sp.haar_k(rng)
     back = sp.matrix_from_json(sp.matrix_to_json(g))
     assert_allclose(back, g, atol=1e-15)
-    res = sp.kak_decompose(g)
-    payload = json.loads(sp.kak_to_json(res))
+    src, out = tmp_path / "g.json", tmp_path / "kak.json"
+    src.write_text(sp.matrix_to_json(g))
+    assert cli.main(["kak", "--in", str(src), "-o", str(out)]) == 0
+    payload = json.loads(out.read_text())
     assert set(payload) == {"alpha1", "alpha2", "residual", "k1", "k2"}
 
 

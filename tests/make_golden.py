@@ -3,10 +3,12 @@
     PYTHONPATH=src python tests/make_golden.py
 
 The cases are perfbench's cli-session argvs for input seeds 1-3,
-``xcheck --count 8`` for seeds 1-3, and ``--help`` of the top level and of
-each subcommand.  The script writes ``tests/golden/``:
+``xcheck --count 8`` for seeds 1-3, ``norm`` searches at the default
+``--max-iter`` and ``--tol`` (see ``SEARCH_CASES``), and ``--help`` of the
+top level and of each subcommand.  The script writes ``tests/golden/``:
 
 * ``inputs/seed<N>/``: the input files of the cli-session for input seed N;
+* ``inputs/sign.json``: the 2x2 sign symbol [[1, 1], [1, -1]];
 * ``manifest.json``: the environment the outputs were made in, and per case
   its argv, exit code, output files and what it needs to match (see
   ``needs``);
@@ -35,6 +37,17 @@ from schur_harmonics import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SEEDS = (1, 2, 3)
+# norm searches at the default --max-iter and --tol, one per branch of the
+# search: p = 1, 1 < p < inf and p = inf on seed 1's symbol, an amplified
+# symbol, and the sign symbol, whose flat start has tied singular values at
+# p = inf and so takes the tie bump
+SEARCH_CASES = (
+    ("search-p1", "seed1/psi.json", ["--p", "1"]),
+    ("search-p1.5", "seed1/psi.json", ["--p", "1.5"]),
+    ("search-pinf", "seed1/psi.json", ["--p", "inf"]),
+    ("search-amplify", "seed1/psi.json", ["--p", "3", "--amplify", "2"]),
+    ("search-sign-pinf", "sign.json", ["--p", "inf"]),
+)
 SUBCOMMANDS = ("norm", "kak", "solve", "coeffs", "holder", "constants", "certify", "xcheck")
 
 
@@ -97,6 +110,11 @@ def _cases(inputs: Path) -> list:
     for seed in SEEDS:
         _, argv, _ = workloads.xcheck_argv(seed, Path("{out}"))
         cases.append((f"xcheck-seed{seed}", argv))
+    sign = {"n": 2, "re": [[1.0, 1.0], [1.0, -1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+    (inputs / "sign.json").write_text(json.dumps(sign))
+    for name, symbol, opts in SEARCH_CASES:
+        cases.append((name, ["norm", "--in", "{inputs}/" + symbol, *opts,
+                             "--seed", "1", "--restarts", "4"]))
     cases.append(("help", ["--help"]))
     cases += [(f"help-{sub}", [sub, "--help"]) for sub in SUBCOMMANDS]
     return cases

@@ -33,6 +33,7 @@ __all__ = [
 
 GAIN_WINDOW = 20  # iterations over which an ascent run's gain is measured
 AMPLIFICATION_CAP = 512  # largest side of an amplified symbol in cb_lower_bound
+STACK_BYTES = 1 << 22  # largest stack of starts one ascent runs at once, in bytes
 
 
 @dataclass(frozen=True)
@@ -111,33 +112,58 @@ def schatten_norm(x, p: float) -> float:
     return float(top * np.sum((s / top) ** p) ** (1.0 / p))
 
 
-def _norm_and_gradient(y: np.ndarray, p: float, rng: np.random.Generator):
-    """Schatten norm of y and its dual (gradient) witness.
+def _norm_and_gradient(y: np.ndarray, p: float, rng):
+    """Schatten norms and dual (gradient) witnesses of a (k, n, n) stack y.
 
-    For finite p > 1 the witness is U diag((s/||y||)^(p-1)) V^*, which has
-    unit S^q norm (1/p + 1/q = 1) and pairs to exactly ||y||_p; its weights
-    are r^(p-1) (sum r^p)^((1-p)/p), r = s/s_1, as a rounded s/||y|| raised
-    to p - 1 >> 1 would leave that sphere (a tie with s_1 gives r = 1
-    exactly).  At p = inf it is the top singular dyad, with near-ties broken
-    by a small random perturbation so the subgradient is well defined (the
-    returned norm is that of y itself); at p = 1 it is U V^*.
+    Returns the k norms and the (k, n, n) witnesses, from one stacked SVD.
+    For finite p > 1 a row's witness is U diag((s/||y||)^(p-1)) V^*, which
+    has unit S^q norm (1/p + 1/q = 1) and pairs to exactly ||y||_p; its
+    weights are r^(p-1) (sum r^p)^((1-p)/p), r = s/s_1, as a rounded s/||y||
+    raised to p - 1 >> 1 would leave that sphere (a tie with s_1 gives r = 1
+    exactly), and a zero row gets a zero witness.  At p = inf it is the top
+    singular dyad, with near-ties broken by a small random perturbation so
+    the subgradient is well defined (the returned norm is that of y itself);
+    ``rng(i)`` is the Generator of row i, asked for only when that row is
+    tied.  At p = 1 it is U V^*.
     """
     u, s, vh = np.linalg.svd(y)
+    top = s[:, 0]
     if np.isinf(p):
-        if s.size > 1 and s[0] > 0 and (s[0] - s[1]) <= 1e-12 * s[0]:
-            bump = 1e-8 * s[0]
-            u, _, vh = np.linalg.svd(
-                y + bump * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
-            )
-        return float(s[0]), np.outer(u[:, 0], vh[0].conj())
+        if y.shape[-1] > 1:
+            tied = np.flatnonzero((top > 0) & (top - s[:, 1] <= 1e-12 * top))
+            if tied.size:
+                noise = []
+                for i in tied:
+                    g = rng(i)
+                    noise.append(g.standard_normal(y.shape[1:]) + 1j * g.standard_normal(y.shape[1:]))
+                bump = 1e-8 * top[tied, None, None]
+                u[tied], _, vh[tied] = np.linalg.svd(y[tied] + bump * np.array(noise))
+        return top, u[:, :, :1] * vh[:, :1].conj()
     if p == 1.0:
-        return float(np.sum(s)), u @ vh
-    if s[0] == 0.0:
-        return 0.0, np.zeros_like(y)
-    r = s / s[0]
-    total = np.sum(r**p)
-    w = r ** (p - 1.0) * total ** ((1.0 - p) / p)
-    return float(s[0] * total ** (1.0 / p)), (u * w) @ vh
+        return s.sum(axis=1), u @ vh
+    norms, r, total = _row_norms(s, p)
+    scale = np.zeros(len(s))
+    for i in np.flatnonzero(total):
+        scale[i] = total[i] ** ((1.0 - p) / p)
+    w = r ** (p - 1.0) * scale[:, None]
+    return norms, (u * w[:, None, :]) @ vh
+
+
+def _row_norms(s: np.ndarray, p: float):
+    """S^p norms of the rows of a stack from their (k, n) singular values s.
+
+    For finite p, by schatten_norm's formula bit for bit: its last power is
+    a scalar one per row, as numpy's array pow can differ from libm's in the
+    last ulp.  Also returns r = s/s_1 and the row sums of r^p (0 on a zero
+    row, whose norm is 0).
+    """
+    top = s[:, 0]
+    r = s / np.where(top > 0, top, 1.0)[:, None]
+    total = (r**p).sum(axis=1)
+    norms = np.zeros(len(s))
+    for i in np.flatnonzero(total):
+        norms[i] = top[i] * total[i] ** (1.0 / p)
+    return norms, r, total
 
 
 def _dual_exponent(p: float) -> float:
@@ -155,48 +181,83 @@ def _ratio(psi_v: np.ndarray, x: np.ndarray, p: float) -> float:
     return schatten_norm(psi_v * x, p) / nx
 
 
-def _ascend(psi_v, p, x0, cfg: SearchConfig, rng):
-    """One ascent run from x0; returns (value, witness, iters, converged).
+def _ascend(psi_v, p, x0, cfg: SearchConfig, first: int = 0) -> list:
+    """Ascent runs from the (k, n, n) stack of starts x0, all at once.
 
-    Each iteration is the p-norm power step: X becomes the S^q dual witness
-    X' of G = conj(psi) o Y, Y the dual witness of psi o X.  X' has unit S^p
-    norm, and since f(X) = ||psi o X||_p is convex with Re<G, X> = f(X),
+    Returns (value, witness, iters, converged) per start, in order.  Each
+    iteration is the p-norm power step: X becomes the S^q dual witness X' of
+    G = conj(psi) o Y, Y the dual witness of psi o X.  X' has unit S^p norm,
+    and since f(X) = ||psi o X||_p is convex with Re<G, X> = f(X),
     f(X') >= Re<G, X'> = ||G||_q >= f(X).  So a computed drop is rounding at
     a fixed point (or the p = inf tie bump): it ends the run as converged on
     the current X, which is therefore the best iterate.  Y is carried into
-    the next iteration, so a step costs two SVDs.
+    the next iteration, so a step costs two stacked SVDs for all running
+    starts.  A run also ends on a zero gradient, when its gain over
+    ``GAIN_WINDOW`` iterations falls below ``cfg.gain_tol``, or after
+    ``cfg.max_iter`` iterations, and then leaves the stack; rows never
+    interact, so each start gets the result it would get alone.  Start i is
+    start ``first + i`` of its search: its tie bumps draw from the Generator
+    of ``SeedSequence((cfg.seed, 7919, first + i))``.
     """
     q = _dual_exponent(p)
+    # psi as a (1, n, n) stack: a 1 x 1 matrix times a (1, 1, 1) stack runs
+    # another numpy loop, which rounds otherwise, than two stacks or two matrices
+    psi_v = psi_v[None]
+    out = [None] * len(x0)
+    rngs = {}
+
+    def rng(i):  # the Generator of stack row i, built the first time it is asked for
+        j = first + int(ids[i])
+        if j not in rngs:
+            rngs[j] = np.random.default_rng(np.random.SeedSequence((cfg.seed, 7919, j)))
+        return rngs[j]
+
+    def leave(stop, iters, converged):  # record the stopping rows; mask of the others
+        for i in np.flatnonzero(stop):
+            out[ids[i]] = (float(val[i]), x[i].copy(), iters, converged)
+        return ~stop
+
+    ids = np.arange(len(x0))
     x = np.array(x0, dtype=complex)
-    nx = schatten_norm(x, p)
-    if nx == 0.0:
-        return 0.0, x, 0, True
-    x /= nx
+    s = np.linalg.svd(x, compute_uv=False)
+    val = s[:, 0] if np.isinf(p) else _row_norms(s, p)[0]  # as schatten_norm(x[i], p)
+    keep = leave(val == 0.0, 0, True)
+    ids, x = ids[keep], x[keep] / val[keep, None, None]
     val, y = _norm_and_gradient(psi_v * x, p, rng)
-    history = [val]
+    history = np.empty((len(ids), GAIN_WINDOW + 1))  # ring buffer of values
+    history[:, 0] = val
     for it in range(1, cfg.max_iter + 1):
+        if not ids.size:
+            break
         grad = psi_v.conj() * y
-        if not grad.any():
-            return val, x, it, True
+        keep = leave(~grad.any(axis=(1, 2)), it, True)
+        ids, x, val, grad, history = ids[keep], x[keep], val[keep], grad[keep], history[keep]
         _, x_pow = _norm_and_gradient(grad, q, rng)
         val_pow, y_pow = _norm_and_gradient(psi_v * x_pow, p, rng)
-        if val_pow < val:
-            return val, x, it, True
-        x, val, y = x_pow, val_pow, y_pow
-        history.append(val)
-        if len(history) > GAIN_WINDOW:
-            if val - history[-GAIN_WINDOW - 1] < cfg.gain_tol * max(val, 1e-300):
-                return val, x, it, True
-    return val, x, cfg.max_iter, False
+        keep = leave(val_pow < val, it, True)
+        ids, history = ids[keep], history[keep]
+        x, val, y = x_pow[keep], val_pow[keep], y_pow[keep]
+        history[:, it % (GAIN_WINDOW + 1)] = val
+        if it >= GAIN_WINDOW:
+            gain = val - history[:, (it + 1) % (GAIN_WINDOW + 1)]  # since iteration it - GAIN_WINDOW
+            keep = leave(gain < cfg.gain_tol * np.maximum(val, 1e-300), it, True)
+            ids, x, val, y, history = ids[keep], x[keep], val[keep], y[keep], history[keep]
+    leave(np.ones(len(ids), dtype=bool), cfg.max_iter, False)
+    return out
 
 
 def ms_norm_lower(psi, p: float, cfg: SearchConfig | None = None) -> NormEstimate:
     """Certified lower bound on the Schur multiplier norm on S^p_n.
 
     The returned value is the best ratio ||psi o X||_p / ||X||_p found, which
-    bounds the true norm from below for every p.  At p = 2 the exact value
-    max|psi_ij| is returned directly with the achieving matrix unit as
-    witness.
+    bounds the true norm from below for every p.  The starts are the matrix
+    unit at max|psi_ij| (the sup|psi| floor), psi itself and the flat matrix
+    (good at nonsmooth p), ``cfg.warm_starts`` (each must be a finite n x n
+    matrix) and ``cfg.restarts`` random matrices.  They ascend together, in
+    stacks of at most ``STACK_BYTES`` bytes taken in seed order; the best
+    value wins, a tie going to the lowest seed index, and the winner's ratio
+    is recomputed from its witness.  At p = 2 the exact value max|psi_ij| is
+    returned directly with the achieving matrix unit as witness.
     """
     cfg = cfg or SearchConfig()
     sym = psi if isinstance(psi, MultiplierSymbol) else MultiplierSymbol(np.asarray(psi))
@@ -204,6 +265,10 @@ def ms_norm_lower(psi, p: float, cfg: SearchConfig | None = None) -> NormEstimat
     n = sym.n
     if not p >= 1:
         raise ValueError("p must lie in [1, inf]")
+    warm = [np.asarray(w, dtype=complex) for w in cfg.warm_starts]
+    for i, w in enumerate(warm):
+        if w.shape != (n, n) or not np.isfinite(w).all():
+            raise ValueError(f"warm start {i} is not a finite {n} x {n} matrix")
 
     mags = np.abs(psi_v)
     i0, j0 = np.unravel_index(int(np.argmax(mags)), mags.shape)
@@ -214,20 +279,17 @@ def ms_norm_lower(psi, p: float, cfg: SearchConfig | None = None) -> NormEstimat
     if p == 2.0:
         return NormEstimate(float(mags[i0, j0]), unit, True, 0, cfg.seed)
 
-    # Matrix unit (the sup|psi| floor), the symbol itself and the flat matrix
-    # (good at nonsmooth p), caller warm starts, then random restarts.
-    seeds = [unit, psi_v.copy(), np.ones((n, n), dtype=complex)]
-    seeds += [np.asarray(w, dtype=complex) for w in cfg.warm_starts]
+    seeds = [unit, psi_v.copy(), np.ones((n, n), dtype=complex), *warm]
     ss = np.random.SeedSequence(cfg.seed)
     children = ss.spawn(cfg.restarts + 1)
     for child in children[1 : cfg.restarts + 1]:
         r = np.random.default_rng(child)
         seeds.append(r.standard_normal((n, n)) + 1j * r.standard_normal((n, n)))
 
+    chunk = max(1, STACK_BYTES // unit.nbytes)
     runs = []
-    for idx, x0 in enumerate(seeds):
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 7919, idx)))
-        runs.append(_ascend(psi_v, p, x0, cfg, rng))
+    for lo in range(0, len(seeds), chunk):
+        runs += _ascend(psi_v, p, np.array(seeds[lo : lo + chunk]), cfg, lo)
     # Best value wins; max keeps the first, so a tie goes to the lowest seed index.
     value, witness, iters, conv = max(runs, key=lambda r: r[0])
     value = _ratio(psi_v, witness, p)  # reported value reproduces the witness ratio
@@ -242,6 +304,7 @@ def cb_lower_bound(psi, p: float, m: int, cfg: SearchConfig | None = None) -> fl
 
     Runs the ratio search on psi (x) 1_m, warm-started with the embedded
     witness of the unamplified search, so the result never drops below it.
+    ``cfg.warm_starts`` seed only the unamplified search.
     """
     cfg = cfg or SearchConfig()
     sym = psi if isinstance(psi, MultiplierSymbol) else MultiplierSymbol(np.asarray(psi))
@@ -256,7 +319,7 @@ def cb_lower_bound(psi, p: float, m: int, cfg: SearchConfig | None = None) -> fl
     big = np.kron(sym.values, np.ones((m, m)))
     embedded = np.zeros((n * m, n * m), dtype=complex)
     embedded[::m, ::m] = base.witness
-    amp_cfg = replace(cfg, warm_starts=cfg.warm_starts + (embedded,))
+    amp_cfg = replace(cfg, warm_starts=(embedded,))
     est = ms_norm_lower(MultiplierSymbol(big), p, amp_cfg)
     return max(est.value, base.value)
 

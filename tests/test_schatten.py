@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
@@ -205,14 +205,15 @@ def _reference_ascent(psi, p, x0, cfg):
     """The power-step ascent written out plainly: every iteration recomputes
     the gradient at X and rescales the power step by its own S^p norm."""
     q = sc._dual_exponent(p)
-    rng = np.random.default_rng(0)
+    gen = np.random.default_rng(0)
+    rng = lambda i: gen  # noqa: E731
     x = x0 / sc.schatten_norm(x0, p)
     val = sc.schatten_norm(psi * x, p)
     history = [val]
     for _ in range(cfg.max_iter):
-        _, y = sc._norm_and_gradient(psi * x, p, rng)
+        _, y = sc._norm_and_gradient((psi * x)[None], p, rng)
         _, x_pow = sc._norm_and_gradient(psi.conj() * y, q, rng)
-        x_pow = x_pow / sc.schatten_norm(x_pow, p)
+        x_pow = x_pow[0] / sc.schatten_norm(x_pow[0], p)
         val_pow = sc.schatten_norm(psi * x_pow, p)
         if val_pow < val:
             break
@@ -233,7 +234,7 @@ def test_ascent_matches_plain_reference():
         psi = random_complex(rng, n)
         for _ in range(3):
             x0 = random_complex(rng, n)
-            val, _, _, _ = sc._ascend(psi, p, x0, cfg, np.random.default_rng(0))
+            [(val, _, _, _)] = sc._ascend(psi, p, x0[None], cfg)
             assert_allclose(val, _reference_ascent(psi, p, x0, cfg), rtol=1e-12)
 
 
@@ -249,6 +250,7 @@ def complex_matrices(draw):
     x0=complex_matrices(),
     p=st.one_of(st.just(1.0), st.floats(1.01, 50.0), st.just(np.inf)),
 )
+@example(psi=np.array([[4.5078125 + 4.5078125j]]), x0=np.array([[7.0 + 4.5j]]), p=1.0)
 @settings(max_examples=100, deadline=None)
 def test_ascent_never_lowers_the_start_value(psi, x0, p):
     # The power step cannot lower the convex objective, and a computed drop
@@ -261,9 +263,10 @@ def test_ascent_never_lowers_the_start_value(psi, x0, p):
     assume(np.abs(psi).max() >= 1e-3 and np.abs(x0).max() >= 1e-3)
     cfg = sc.SearchConfig(max_iter=50)
     x = x0 / sc.schatten_norm(x0, p)
-    start, _ = sc._norm_and_gradient(psi * x, p, np.random.default_rng(0))
-    val, witness, iters, _ = sc._ascend(psi, p, x0, cfg, np.random.default_rng(0))
-    assert val >= start
+    gen = np.random.default_rng(0)
+    start, _ = sc._norm_and_gradient((psi * x)[None], p, lambda i: gen)
+    [(val, witness, iters, _)] = sc._ascend(psi, p, x0[None], cfg)
+    assert val >= start[0]
     assert abs(val - sc._ratio(psi, witness, p)) <= 1e-12 * val
     assert iters <= cfg.max_iter
 
@@ -274,16 +277,48 @@ def test_ascent_value_is_witness_ratio_near_p_one():
     # ratio of the witness it returned; weights r^(q-1) (sum r^q)^((1-q)/q),
     # r = s/s_1, stay on it.
     p, psi = 1.0 + 1e-6, np.eye(4, dtype=complex)
-    x0, rng = np.ones((4, 4)), np.random.default_rng(0)
-    val, witness, _, _ = sc._ascend(psi, p, x0, sc.SearchConfig(), rng)
+    x0 = np.ones((1, 4, 4))
+    [(val, witness, _, _)] = sc._ascend(psi, p, x0, sc.SearchConfig())
     assert abs(val - sc._ratio(psi, witness, p)) <= 1e-12 * val
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    extra=arrays(np.float64, (2, 3, 3), elements=st.floats(-10.0, 10.0)),
+    p=st.sampled_from([1.0, 1.5, 4.0, np.inf]),
+)
+@settings(max_examples=40, deadline=None)
+def test_stacked_rows_end_as_they_do_alone(seed, extra, p):
+    # psi is the sign symbol [[1, 1], [1, -1]] bordered by zeros.  The stack
+    # holds a zero start, a start where psi vanishes (so at 1 < p < inf its
+    # gradient does), the flat start (tied singular values at p = inf, so it
+    # takes the tie bump) and a random start.  Each row must end exactly as
+    # its start does alone, at the same seed index.
+    psi = np.zeros((3, 3), dtype=complex)
+    psi[:2, :2] = [[1.0, 1.0], [1.0, -1.0]]
+    off = np.zeros((3, 3))
+    off[2, 2] = 1.0
+    starts = np.array([np.zeros((3, 3)), off, np.ones((3, 3)), extra[0] + 1j * extra[1]])
+    s = np.linalg.svd(psi * starts[2], compute_uv=False)
+    assert s[0] - s[1] <= 1e-12 * s[0]
+    cfg = sc.SearchConfig(max_iter=60, seed=seed)
+    stacked = sc._ascend(psi, p, starts, cfg)
+    for i, (val, witness, iters, converged) in enumerate(stacked):
+        [(val1, witness1, iters1, converged1)] = sc._ascend(psi, p, starts[i : i + 1], cfg, i)
+        assert (val, witness.tobytes(), iters, converged) == (
+            val1, witness1.tobytes(), iters1, converged1
+        )
+    assert stacked[0][0] == 0.0 and stacked[0][2] == 0
+    if 1.0 < p < np.inf:
+        assert stacked[1][0] == 0.0 and stacked[1][2] == 1
 
 
 @pytest.mark.parametrize("p", [1.0 + 1e-9, 1.5, 3.0, 1e6])
 def test_dual_witness_keeps_zero_singular_values_at_weight_zero(p):
     # 0^(p-1) = 0 raises no RuntimeWarning (an error under pytest)
     y = np.diag([3.0, 3.0, 0.0, 0.0]).astype(complex)
-    val, w = sc._norm_and_gradient(y, p, np.random.default_rng(0))
+    gen = np.random.default_rng(0)
+    [val], [w] = sc._norm_and_gradient(y[None], p, lambda i: gen)
     assert val == pytest.approx(3.0 * 2.0 ** (1.0 / p), rel=1e-15)
     want = [2.0 ** (1.0 / p - 1.0)] * 2 + [0.0] * 2
     assert_allclose(np.linalg.svd(w, compute_uv=False), want, rtol=1e-15)
@@ -299,8 +334,20 @@ def test_dual_witness_has_unit_p_norm(g, p):
     # gradient already lies on the unit sphere of S^p.  Entries are kept away
     # from 0 so that s**q neither underflows nor overflows at q <= 21.
     assume(np.abs(g).max() >= 1e-3)
-    _, w = sc._norm_and_gradient(g, sc._dual_exponent(p), np.random.default_rng(0))
+    gen = np.random.default_rng(0)
+    _, [w] = sc._norm_and_gradient(g[None], sc._dual_exponent(p), lambda i: gen)
     assert abs(sc.schatten_norm(w, p) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.ones(3), np.ones((4, 4)), np.array([[1.0, 0.0, 0.0], [0.0, np.nan, 0.0], [0.0, 0.0, 1.0]])],
+    ids=["vector", "too-large", "nan"],
+)
+def test_warm_starts_checked_before_the_search(bad):
+    cfg = sc.SearchConfig(restarts=1, seed=3, warm_starts=(np.eye(3), bad))
+    with pytest.raises(ValueError, match="warm start 1 is not a finite 3 x 3 matrix"):
+        sc.ms_norm_lower(random_complex(np.random.default_rng(16), 3), 4.0, cfg)
 
 
 def test_p_below_one_rejected():
@@ -332,6 +379,15 @@ def test_cb_amplification_monotone():
     cfg = sc.SearchConfig(restarts=6, seed=9)
     base = sc.ms_norm_lower(psi, 4.0, cfg).value
     assert sc.cb_lower_bound(psi, 4.0, 2, cfg) >= base - 1e-9
+
+
+def test_cb_with_caller_warm_starts():
+    # the caller's n x n warm starts seed the unamplified search only
+    rng = np.random.default_rng(17)
+    psi = random_complex(rng, 3)
+    cfg = sc.SearchConfig(restarts=2, seed=10, warm_starts=(random_complex(rng, 3),))
+    base = sc.ms_norm_lower(psi, 4.0, cfg).value
+    assert sc.cb_lower_bound(psi, 4.0, 2, cfg) >= base
 
 
 def test_cb_memory_guard(monkeypatch):

@@ -63,7 +63,8 @@ class CoefficientSpectrum:
     """Peter-Weyl coefficients of one pair up to a truncation degree.
 
     ``pair`` is "u2" (indices (l, m), dimension l+m+1) or "su2" (index n,
-    dimension 2n+1).  Only indices within the truncation are stored.
+    dimension 2n+1).  Only indices within the truncation are stored: n, or
+    each of l and m, lies in [0, truncation].
     """
 
     pair: str
@@ -73,7 +74,12 @@ class CoefficientSpectrum:
     def __post_init__(self):
         if self.pair not in ("u2", "su2"):
             raise ValueError("pair must be 'u2' or 'su2'")
+        if self.truncation < 0:
+            raise ValueError("truncation must be >= 0")
         for idx, c in self.coeffs.items():
+            ends = idx if self.pair == "u2" else (idx,)
+            if min(ends) < 0 or max(ends) > self.truncation:
+                raise ValueError(f"index {idx} lies below 0 or beyond truncation {self.truncation}")
             if not cmath.isfinite(c):
                 raise ValueError(f"coefficient {idx} is not finite")
 
@@ -208,10 +214,6 @@ def synthesize(spec: CoefficientSpectrum):
     """Evaluator of the finite sum  sum c dim h  matching the pair tag."""
     L = spec.truncation
     items = sorted(spec.items())
-    for idx, _ in items:
-        ends = idx if spec.pair == "u2" else (idx,)
-        if min(ends) < 0 or max(ends) > L:
-            raise ValueError(f"index {idx} lies below 0 or beyond truncation {L}")
     if spec.pair == "su2":
 
         def phi0_su2(r):
@@ -435,5 +437,7 @@ def spectrum_from_json(text: str) -> CoefficientSpectrum:
             idx = (json_int(row["l"], "index"), json_int(row["m"], "index"))
         else:
             idx = json_int(row["n"], "index")
+        if idx in coeffs:
+            raise ValueError(f"index {idx} appears in more than one row")
         coeffs[idx] = complex(json_real(row["re"], "re"), json_real(row["im"], "im"))
     return CoefficientSpectrum(pair, coeffs, json_int(obj["truncation"], "truncation"))

@@ -344,17 +344,18 @@ def test_coeffs_spectrum_at_large_p(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "pair, row, message",
+    "pair, rows, message",
     [
-        ("su2", {"n": 5, "re": 1.0, "im": 0.0}, "index 5 lies below 0 or beyond truncation 2"),
-        ("u2", {"l": 3, "m": 0, "re": 1.0, "im": 0.0}, "index (3, 0) lies below 0 or beyond truncation 2"),
-        ("su2", {"n": 1, "re": float("nan"), "im": 0.0}, "coefficient 1 is not finite"),
+        ("su2", [{"n": 5, "re": 1.0, "im": 0.0}], "index 5 lies below 0 or beyond truncation 2"),
+        ("u2", [{"l": 3, "m": 0, "re": 1.0, "im": 0.0}], "index (3, 0) lies below 0 or beyond truncation 2"),
+        ("su2", [{"n": 1, "re": float("nan"), "im": 0.0}], "coefficient 1 is not finite"),
+        ("u2", [{"l": 1, "m": 0, "re": 1.0, "im": 0.0}] * 2, "index (1, 0) appears in more than one row"),
     ],
-    ids=["su2-index", "u2-index", "nan-coefficient"],
+    ids=["su2-index", "u2-index", "nan-coefficient", "duplicate-row"],
 )
-def test_coeffs_rejects_malformed_spectrum(tmp_path, capsys, pair, row, message):
+def test_coeffs_rejects_malformed_spectrum(tmp_path, capsys, pair, rows, message):
     src = tmp_path / "spec.json"
-    src.write_text(json.dumps({"pair": pair, "truncation": 2, "coeffs": [row]}))
+    src.write_text(json.dumps({"pair": pair, "truncation": 2, "coeffs": rows}))
     code, out, err = run(
         capsys, "coeffs", "--family", pair, "-L", "2", "--spectrum", str(src)
     )

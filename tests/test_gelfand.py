@@ -641,6 +641,34 @@ def test_non_finite_coefficients_rejected():
         gf.CoefficientSpectrum("su2", {0: 1.0, 2: complex(0.0, math.inf)}, 2)
 
 
+@pytest.mark.parametrize(
+    "pair, coeffs, truncation, message",
+    [
+        ("su2", {7: 5.0}, 1, "index 7 lies below 0 or beyond truncation 1"),
+        ("u2", {(-1, 2): 1.0}, 3, r"index \(-1, 2\) lies below 0 or beyond truncation 3"),
+        ("su2", {}, -1, "truncation must be >= 0"),
+    ],
+    ids=["su2-beyond", "u2-negative", "negative-truncation"],
+)
+def test_spectrum_indices_lie_within_truncation(pair, coeffs, truncation, message):
+    # checked on construction, not first in synthesize: lp_lower_bound of
+    # {7: 5.0} at truncation 1 used to count n = 7
+    with pytest.raises(ValueError, match=message):
+        gf.CoefficientSpectrum(pair, coeffs, truncation)
+
+
+def test_spectrum_from_json_rejects_out_of_range_and_duplicate_rows():
+    # n = 7 beyond truncation 1 used to load, and counted in lp_lower_bound
+    text = json.dumps({"pair": "su2", "truncation": 1, "coeffs": [{"n": 7, "re": 5.0, "im": 0.0}]})
+    with pytest.raises(ValueError, match="index 7 lies below 0 or beyond truncation 1"):
+        gf.spectrum_from_json(text)
+    # a second row for n = 0 used to replace the first silently
+    rows = [{"n": 0, "re": 1.0, "im": 0.0}, {"n": 0, "re": 2.0, "im": 0.0}]
+    text = json.dumps({"pair": "su2", "truncation": 1, "coeffs": rows})
+    with pytest.raises(ValueError, match="index 0 appears in more than one row"):
+        gf.spectrum_from_json(text)
+
+
 def test_spectrum_csv(tmp_path):
     spec = gf.CoefficientSpectrum("su2", {0: 1.0, 2: 0.5j}, 2)
     src, path = tmp_path / "spec.json", tmp_path / "spec.csv"

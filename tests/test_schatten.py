@@ -201,6 +201,33 @@ def test_search_bit_identical_for_same_config():
         assert first.witness.tobytes() == again.witness.tobytes()
 
 
+@pytest.mark.parametrize("n, p", [(3, 1.5), (2, np.inf)])
+def test_search_bit_identical_in_smaller_stacks(monkeypatch, n, p):
+    # A budget of two matrices splits the starts into stacks of two, taken
+    # in seed order; every start's run must end as in one stack.  At p = inf
+    # the sign symbol's flat start (seed index 2) takes the tie bump in the
+    # second stack, from its own Generator.
+    psi = np.array([[1.0, 1.0], [1.0, -1.0]]) if n == 2 else random_complex(np.random.default_rng(18), n)
+    cfg = sc.SearchConfig(restarts=6, seed=11)
+    ascend = sc._ascend
+
+    def runs():
+        got = []
+
+        def spy(*args):
+            out = ascend(*args)
+            got.extend(out)
+            return out
+
+        monkeypatch.setattr(sc, "_ascend", spy)
+        sc.ms_norm_lower(psi, p, cfg)
+        return [(v, w.tobytes(), it, conv) for v, w, it, conv in got]
+
+    whole = runs()
+    monkeypatch.setattr(sc, "STACK_BYTES", 2 * 16 * n * n)
+    assert runs() == whole
+
+
 def _reference_ascent(psi, p, x0, cfg):
     """The power-step ascent written out plainly: every iteration recomputes
     the gradient at X and rescales the power step by its own S^p norm."""

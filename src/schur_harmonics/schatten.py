@@ -132,10 +132,10 @@ def _norm_and_gradient(y: np.ndarray, p: float, rng):
         if y.shape[-1] > 1:
             tied = np.flatnonzero((top > 0) & (top - s[:, 1] <= 1e-12 * top))
             if tied.size:
-                noise = []
+                shape, noise = y.shape[1:], []
                 for i in tied:
                     g = rng(i)
-                    noise.append(g.standard_normal(y.shape[1:]) + 1j * g.standard_normal(y.shape[1:]))
+                    noise.append(g.standard_normal(shape) + 1j * g.standard_normal(shape))
                 bump = 1e-8 * top[tied, None, None]
                 u[tied], _, vh[tied] = np.linalg.svd(y[tied] + bump * np.array(noise))
         return top, u[:, :, :1] * vh[:, :1].conj()

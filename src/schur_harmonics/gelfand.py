@@ -54,6 +54,9 @@ __all__ = [
 ]
 
 
+TABLE_BYTES = 1 << 22  # largest Jacobi table coefficients_u2 holds at once, in bytes
+
+
 class UnderResolvedError(ValueError):
     """Quadrature order too low for the requested truncation."""
 
@@ -147,7 +150,10 @@ def coefficients_u2(
     conjugate, one FFT over the uniform angles gives the angular
     frequencies +-k of phi0 on every radius, and each coefficient is then a
     radial Gauss sum of one frequency against r^k P_m^(0,k).  Frequencies
-    up to L are free of aliasing because n_angular >= 2L+1.
+    up to L are free of aliasing because n_angular >= 2L+1.  One Jacobi
+    recurrence serves a run of frequencies (a table of at most
+    ``TABLE_BYTES``), with the float operations of one recurrence per k, so
+    the coefficients do not depend on how the frequencies are run.
     """
     if L < 0:
         raise ValueError("truncation must be >= 0")
@@ -167,13 +173,19 @@ def coefficients_u2(
     r = z.reshape(shape)[:, 0].real  # the theta = 0 column holds the radii
     x = np.clip(2.0 * r * r - 1.0, -1.0, 1.0)
     coeffs = {}
-    for k in range(L + 1):
-        radial = r**k * jacobi_all(L - k, 0.0, float(k), x)
-        plus, minus = radial @ freq[:, k], radial @ freq[:, -k]
-        for m in range(L + 1 - k):
-            coeffs[(m + k, m)] = complex(plus[m])
-            if k > 0:
-                coeffs[(m, m + k)] = complex(minus[m])
+    # one recurrence for each run of frequencies k0 <= k < k0 + chunk, which
+    # needs degrees up to L - k0; runs of TABLE_BYTES bound its table
+    chunk = max(1, TABLE_BYTES // ((L + 1) * n_radial * 8))
+    for k0 in range(0, L + 1, chunk):
+        ks = range(k0, min(k0 + chunk, L + 1))
+        jac = jacobi_all(L - k0, 0.0, np.array(ks, dtype=float), x)
+        for j, k in enumerate(ks):
+            radial = r**k * jac[: L + 1 - k, j]
+            plus, minus = radial @ freq[:, k], radial @ freq[:, -k]
+            for m, c_plus, c_minus in zip(range(L + 1 - k), plus.tolist(), minus.tolist()):
+                coeffs[(m + k, m)] = c_plus
+                if k > 0:
+                    coeffs[(m, m + k)] = c_minus
     return CoefficientSpectrum("u2", dict(sorted(coeffs.items())), L)
 
 
@@ -277,7 +289,10 @@ def kernel_schatten_norm(
     the angle differences splits it unitarily into one block of size
     ``order`` per torus (u2) or rotation (su2) character.  The cost is m^2
     (u2) or m (su2) SVDs of size ``order`` in one stacked call; the dense
-    kernel of size order m^2 (or order m) is never formed.
+    kernel of size order m^2 (or order m) is never formed.  A degree-L
+    spectrum has no angular frequency much above L, so most blocks hold
+    only FFT rounding, and ``schatten_norm`` leaves those below the float
+    SVD's resolution out of the SVD (its docstring bounds the effect).
 
     With ``check=True`` the value is recomputed at twice the order; a drift
     above 1% raises a resolution warning (warnings.warn) and the finer value

@@ -94,16 +94,36 @@ def _as_matrix(x, stack: bool = False) -> np.ndarray:
     return a
 
 
+def _largest_part(a: np.ndarray) -> np.ndarray:
+    """Largest |re| or |im| entry of each block of a (k, n, n) stack.
+
+    Not the largest |entry|, which overflows from about 1.3e308.
+    """
+    return np.abs(np.ascontiguousarray(a).view(float)).max(axis=(1, 2), initial=0.0)
+
+
 def schatten_norm(x, p: float) -> float:
     """Schatten p-norm via singular values; p = inf gives the operator norm.
 
     ``x`` is a square (n, n) matrix or a (k, n, n) stack of them; a stack
     stands for the block-diagonal operator with those blocks, whose singular
     values are the union of the blocks' singular values.
+
+    A stack leaves out of its SVD every block whose largest |re| or |im|
+    entry is at most n eps M, M the stack's largest such entry.  Such a
+    block B has ||B||_2 <= ||B||_F <= sqrt(2) n^2 eps M: its singular values
+    lie below the backward error of the float SVD of the stack, which is
+    about n eps ||X||_2 with ||X||_2 >= M.  By the triangle inequality, the
+    d blocks left out move the value by at most their joint S^p norm,
+    sqrt(2) n^2 eps M (d n)^(1/p), and the value is at least M; at p = inf
+    the largest singular value is never in a block left out.
     """
     a = _as_matrix(x, stack=True)
     if not p >= 1:
         raise ValueError("p must lie in [1, inf]")
+    if a.ndim == 3:
+        big = _largest_part(a)
+        a = a[big > a.shape[-1] * np.finfo(float).eps * big.max(initial=0.0)]
     s = np.linalg.svd(a, compute_uv=False)
     top = s.max() if s.size else 0.0
     if np.isinf(p) or top == 0.0:
@@ -219,6 +239,12 @@ def _ascend(psi_v, p, x0, cfg: SearchConfig, first: int = 0) -> list:
 
     ids = np.arange(len(x0))
     x = np.array(x0, dtype=complex)
+    # Each start is scaled by the power of two that puts its largest |re| or
+    # |im| in [1/2, 1), exactly: a subnormal start's norm would have an
+    # infinite reciprocal.  Where LAPACK does not scale the matrix itself
+    # (largest entry within about 1e-138 .. 1e138), x / ||x||_p keeps its bits.
+    _, e = np.frexp(_largest_part(x))
+    np.ldexp(x.view(float), -e[:, None, None], out=x.view(float))
     s = np.linalg.svd(x, compute_uv=False)
     val = s[:, 0] if np.isinf(p) else _row_norms(s, p)[0]  # as schatten_norm(x[i], p)
     keep = leave(val == 0.0, 0, True)

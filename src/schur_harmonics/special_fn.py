@@ -7,7 +7,10 @@ of SO(2) in SU(2), where it reduces to plain Legendre polynomials).
 
 Everything is evaluated by forward three-term recurrence in double
 precision, which is stable on [-1, 1] at the degrees used here (a few
-hundred).
+hundred).  ``jacobi_all`` runs one recurrence for one weight b or for many
+at once; either way each value takes the same float operations, so the
+callers that batch the frequencies k = b of the U(2) family (the u2 scan,
+``gelfand.coefficients_u2``) get the values of one recurrence per k.
 """
 
 from __future__ import annotations
@@ -35,38 +38,65 @@ def _check_interval(x, lo=-1.0, hi=1.0):
     return x
 
 
-def jacobi_all(nmax: int, a: float, b: float, x) -> np.ndarray:
+def _recurrence_coeffs(n, a, b):
+    """The x-free coefficients of degree n of the Jacobi recurrence.
+
+    Python floats for one (n, b), or arrays for many at once: each entry
+    takes the same float operations either way.
+    """
+    s = 2.0 * n + a + b
+    c1 = 2.0 * n * (n + a + b) * (s - 2.0)
+    c3 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * s
+    return c1, s - 1.0, s * (s - 2.0), c3
+
+
+def jacobi_all(nmax: int, a: float, b, x) -> np.ndarray:
     """Evaluate Jacobi polynomials of all degrees 0..nmax at the points x.
 
     Parameters
     ----------
     nmax : int
         Highest degree to compute.
-    a, b : float
-        Weight exponents, both >= 0.
+    a : float
+        Weight exponent, >= 0.
+    b : float or 1-D array_like of floats
+        Weight exponent(s), all >= 0.  An array runs one recurrence for
+        every b at once, its coefficients computed for all degrees before
+        the loop.
     x : array_like
         Evaluation points in [-1, 1].
 
     Returns
     -------
-    (nmax+1, len(x)) array with row n holding degree n.
+    (nmax+1, len(x)) array with row n holding degree n; for an array b,
+    (nmax+1, len(b), len(x)) with [n, j] holding degree n at b[j].  Each
+    entry takes the same float operations whether b is a float or an array,
+    so the rows of one b are bit-identical either way.
     """
     if nmax < 0:
         raise ValueError("nmax must be >= 0")
-    if a < 0 or b < 0:
+    if not isinstance(b, (int, float)) and np.ndim(b) > 0:
+        b = np.asarray(b, dtype=float)
+        if b.ndim > 1:
+            raise ValueError("b must be a float or a 1-D array")
+        b_min, b = b.min(initial=0.0), b[:, None]  # one row per b, broadcast against x
+        rows = (len(b),)
+        steps = zip(*_recurrence_coeffs(np.arange(2.0, nmax + 1.0)[:, None, None], a, b))
+    else:
+        b_min = b = float(b)
+        rows = ()
+        steps = (_recurrence_coeffs(n, a, b) for n in range(2, nmax + 1))
+    if not (a >= 0 and b_min >= 0):
         raise ValueError("weight exponents must be >= 0")
     x = _check_interval(np.atleast_1d(x))
-    out = np.empty((nmax + 1, x.size))
+    out = np.empty((nmax + 1, *rows, x.size))
     out[0] = 1.0
     if nmax == 0:
         return out
     out[1] = (a + 1.0) + (a + b + 2.0) * (x - 1.0) / 2.0
-    for n in range(2, nmax + 1):
-        c1 = 2.0 * n * (n + a + b) * (2.0 * n + a + b - 2.0)
-        c2 = (2.0 * n + a + b - 1.0) * (
-            (2.0 * n + a + b) * (2.0 * n + a + b - 2.0) * x + a * a - b * b
-        )
-        c3 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * (2.0 * n + a + b)
+    aa, bb = a * a, b * b
+    for n, (c1, c2_lead, c2_x, c3) in enumerate(steps, start=2):
+        c2 = c2_lead * (c2_x * x + aa - bb)
         out[n] = (c2 * out[n - 1] - c3 * out[n - 2]) / c1
     return out
 
@@ -209,21 +239,30 @@ def _scan_u2(max_degree: int, grid: int) -> HoelderScanReport:
     # each h_{l,m} is a constant times the pure phase e^{i(l-m)theta}.  The
     # pairwise difference then depends only on the grid lag, which collapses
     # the O(grid^2) pair scan to one pass over lags per index, and every
-    # index of one frequency k = l - m shares a Jacobi recurrence and a
-    # sine row.  The amplitudes repeat spherical_u2's operations, so the
-    # constants do not depend on how the indices are batched.
+    # index of one frequency k = l - m shares a sine row; one Jacobi
+    # recurrence serves every frequency.  The amplitudes repeat
+    # spherical_u2's operations, so the constants do not depend on how the
+    # indices are batched.  Per index, dh = fl(2 amp * |sin|) over the lags.
+    # Rounding is monotone and 2 amp >= 0, so max dh = fl(2 amp * max |sin|);
+    # and fl(dh / dtheta) is within 2.3e-16 relative of 2 amp |sin| / dtheta,
+    # so its maximum lies among the lags whose |sin| / dtheta is within 1e-14
+    # of the largest.  Both maxima are thus those of the full rows, bit for bit.
     d = np.arange(1, grid)
     dtheta = 2.0 * math.pi * d / grid
     z = np.array([1.0 / math.sqrt(2.0)], dtype=complex)
     x = np.clip(2.0 * (z * z.conj()).real - 1.0, -1.0, 1.0)
+    jac_all = jacobi_all(max_degree // 2, 0.0, np.arange(max_degree + 1.0), x)[:, :, 0]
     peaks = {}  # (l, m) -> (max dh / dtheta, max dh)
     for k in range(max_degree + 1):
-        jac = jacobi_all((max_degree - k) // 2, 0.0, float(k), x)[:, 0]
+        jac = jac_all[: (max_degree - k) // 2 + 1, k]
         for sign in (1, -1) if k else (1,):
             zk = (z if sign > 0 else np.conj(z)) ** k
-            amp = np.array([abs(complex(h)) for h in zk * jac])
-            dh = (2.0 * amp)[:, None] * np.abs(np.sin(sign * k * dtheta / 2.0))
-            for j, peak in enumerate(zip((dh / dtheta).max(axis=1), dh.max(axis=1))):
+            amp2 = 2.0 * np.array([abs(complex(h)) for h in zk * jac])
+            sin_d = np.abs(np.sin(sign * k * dtheta / 2.0))
+            slope = sin_d / dtheta
+            near = slope >= (1.0 - 1e-14) * slope.max()
+            lip = (amp2[:, None] * sin_d[near] / dtheta[near]).max(axis=1)
+            for j, peak in enumerate(zip(lip, amp2 * sin_d.max())):
                 peaks[(j + k, j) if sign > 0 else (j, j + k)] = peak
     report = HoelderScanReport("u2", max_degree, grid)
     for l in range(max_degree + 1):

@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 from schur_harmonics import cli
 from schur_harmonics import gelfand as gf
 from schur_harmonics import schatten as sc
-from schur_harmonics.special_fn import legendre_all, spherical_u2
+from schur_harmonics.special_fn import jacobi_all, legendre_all, spherical_u2
 
 
 def ones(x):
@@ -97,6 +97,52 @@ def test_u2_fft_coefficients_match_per_index_oracle(L, orders):
     scale = max(abs(c) for c in want.values())
     worst = max(abs(spec.coeffs[idx] - c) for idx, c in want.items())
     assert worst <= 1e-14 * scale
+
+
+def _coefficients_u2_per_frequency(phi0, L: int) -> dict:
+    """coefficients_u2 at its default orders with one Jacobi recurrence per
+    frequency k and the same radial sums."""
+    n_radial, n_angular = max(4 * L, 8), max(8 * L + 1, 9)
+    z, w = gf.disc_quadrature(n_radial, n_angular)
+    shape = (n_radial, n_angular)
+    fz = np.asarray(phi0(z), dtype=complex).reshape(shape)
+    freq = np.fft.fft(fz, axis=1) * w.reshape(shape)[:, :1]
+    r = z.reshape(shape)[:, 0].real
+    x = np.clip(2.0 * r * r - 1.0, -1.0, 1.0)
+    coeffs = {}
+    for k in range(L + 1):
+        radial = r**k * jacobi_all(L - k, 0.0, float(k), x)
+        plus, minus = radial @ freq[:, k], radial @ freq[:, -k]
+        for m in range(L + 1 - k):
+            coeffs[(m + k, m)] = complex(plus[m])
+            if k > 0:
+                coeffs[(m, m + k)] = complex(minus[m])
+    return dict(sorted(coeffs.items()))
+
+
+@pytest.mark.parametrize("L", [0, 1, 4, 24])
+def test_u2_coefficients_match_per_frequency_recurrence_bit_for_bit(L):
+    spec = gf.coefficients_u2(_smooth_disc_function, L)
+    assert spec.coeffs == _coefficients_u2_per_frequency(_smooth_disc_function, L)
+
+
+def test_u2_coefficients_bit_for_bit_across_recurrence_chunks(monkeypatch):
+    want = gf.coefficients_u2(_smooth_disc_function, 24).coeffs
+    monkeypatch.setattr(gf, "TABLE_BYTES", 3 * 25 * 96 * 8)  # runs of 3 frequencies
+    assert gf.coefficients_u2(_smooth_disc_function, 24).coeffs == want
+
+
+def test_u2_coefficients_peak_memory():
+    # 1.25 times the 24.0 MB peak of one recurrence per frequency
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        gf.coefficients_u2(_smooth_disc_function, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 24.0e6
 
 
 def test_u2_under_resolution_error():

@@ -98,6 +98,61 @@ def test_norm_of_stack_is_norm_of_block_diagonal(p):
     assert_allclose(sc.schatten_norm(stack, p), sc.schatten_norm(block_diag(*stack), p), rtol=1e-13)
 
 
+def test_empty_stack_has_norm_zero():
+    for p in (1.0, 3.0, np.inf):
+        assert sc.schatten_norm(np.zeros((0, 3, 3), dtype=complex), p) == 0.0
+
+
+@pytest.mark.parametrize("block", [0, 1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_entry_in_any_block_rejected(block, bad):
+    # also a block small enough to be left out of the SVD
+    stack = np.array([np.eye(3), 1e-300 * np.ones((3, 3)), np.zeros((3, 3))], dtype=complex)
+    stack[block, 1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        sc.schatten_norm(stack, 3.0)
+
+
+@pytest.mark.parametrize("big", [1.2e308, 1.5e308])
+@pytest.mark.parametrize("p", [1.0, 3.0, np.inf])
+def test_stack_near_overflow_matches_two_dimensional_value(big, p):
+    # |big (1 + 1i)| overflows from about 1.3e308 even where |re| and |im| do
+    # not, so the floor that picks the blocks must not be taken of |entry|
+    from scipy.linalg import block_diag
+
+    stack = np.array([[[big * (1 + 1j), 0.0], [0.0, 1.0]], [[1.0, 2.0], [3.0, 4.0]]])
+    value = sc.schatten_norm(stack, p)
+    assert value != 0.0
+    np.testing.assert_equal(value, sc.schatten_norm(block_diag(*stack), p))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, np.inf])
+def test_tiny_block_moves_value_within_documented_bound(monkeypatch, p):
+    # A block whose largest |re| or |im| is n eps M is left out of the SVD; the
+    # value moves by at most sqrt(2) n^2 eps M (d n)^(1/p) for d blocks left out.
+    from scipy.linalg import block_diag
+
+    n, eps = 3, np.finfo(float).eps
+    rng = np.random.default_rng(19)
+    kept = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    top = np.maximum(np.abs(kept.real), np.abs(kept.imag)).max()
+    tiny = n * eps * top * (1 + 1j) * np.ones((n, n))
+    svd, blocks = np.linalg.svd, []
+
+    def counting_svd(a, *args, **kwargs):
+        blocks.append(len(a) if a.ndim == 3 else 1)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    value = sc.schatten_norm(np.array([kept, tiny]), p)
+    sc.schatten_norm(np.array([kept, 2.0 * tiny]), p)
+    assert blocks == [1, 2]  # left out at the floor, kept just above it
+    assert value == sc.schatten_norm(kept, p)
+    bound = math.sqrt(2.0) * n**2 * eps * top * n ** (1.0 / p)
+    assert value >= top
+    assert abs(value - sc.schatten_norm(block_diag(kept, tiny), p)) <= bound
+
+
 # ---------------------------------------------------------------------------
 # ms_norm_lower
 
@@ -314,6 +369,7 @@ def test_ascent_value_is_witness_ratio_near_p_one():
     extra=arrays(np.float64, (2, 3, 3), elements=st.floats(-10.0, 10.0)),
     p=st.sampled_from([1.0, 1.5, 4.0, np.inf]),
 )
+@example(seed=0, extra=np.full((2, 3, 3), 2.22507386e-311), p=1.0)  # a subnormal start
 @settings(max_examples=40, deadline=None)
 def test_stacked_rows_end_as_they_do_alone(seed, extra, p):
     # psi is the sign symbol [[1, 1], [1, -1]] bordered by zeros.  The stack
@@ -364,6 +420,22 @@ def test_dual_witness_has_unit_p_norm(g, p):
     gen = np.random.default_rng(0)
     _, [w] = sc._norm_and_gradient(g[None], sc._dual_exponent(p), lambda i: gen)
     assert abs(sc.schatten_norm(w, p) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 4.0, np.inf])
+def test_subnormal_warm_start_searches_as_its_normal_multiple(p):
+    # 2^-1074 w is exact for these small Gaussian integers; its norm's
+    # reciprocal overflowed, and the search then failed (SVD did not converge)
+    psi = random_complex(np.random.default_rng(23), 3)
+    w = np.array([[1 + 1j, 2, -3j], [4, 0, 1j], [2 - 1j, -1, 1]])
+    tiny = w * 2.0**-1074
+    assert np.array_equal(tiny * 2.0**537 * 2.0**537, w)
+    runs = [sc.ms_norm_lower(psi, p, sc.SearchConfig(restarts=2, warm_starts=(v,))) for v in (w, tiny)]
+    assert runs[0].value == runs[1].value and runs[0].iterations == runs[1].iterations
+    assert runs[0].witness.tobytes() == runs[1].witness.tobytes()
+    [alone, alone_tiny] = (sc._ascend(psi.copy(), p, v[None], sc.SearchConfig())[0] for v in (w, tiny))
+    assert (alone[0], alone[1].tobytes(), alone[2]) == (alone_tiny[0], alone_tiny[1].tobytes(), alone_tiny[2])
+    sc.ms_norm_lower(psi, p, sc.SearchConfig(warm_starts=(np.full((3, 3), 5e-324 * (1 + 1j)),)))
 
 
 @pytest.mark.parametrize(

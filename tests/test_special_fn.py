@@ -59,6 +59,35 @@ def test_recurrence_matches_monomial_expansion():
         )
 
 
+_RADII = np.sqrt((np.polynomial.legendre.leggauss(96)[0] + 1.0) / 2.0)
+_RADIAL_NODES = np.clip(2.0 * _RADII * _RADII - 1.0, -1.0, 1.0)  # as coefficients_u2 takes them
+
+
+@pytest.mark.parametrize("L", [0, 1, 4, 24, 40])
+@pytest.mark.parametrize(
+    "xs", [np.array([0.0]), _RADIAL_NODES, np.array([-1.0, 1.0])], ids=["zero", "radial", "ends"]
+)
+def test_stacked_recurrence_rows_are_jacobi_all_bit_for_bit(L, xs):
+    # one recurrence for b = 0..L gives, for each b = k, the rows of its own
+    # recurrence up to degree L - k
+    stacked = sf.jacobi_all(L, 0.0, np.arange(L + 1.0), xs)
+    assert stacked.shape == (L + 1, L + 1, xs.size)
+    for k in range(L + 1):
+        alone = sf.jacobi_all(L - k, 0.0, float(k), xs)
+        assert stacked[: L + 1 - k, k].tobytes() == alone.tobytes()
+    ab = sf.jacobi_all(L, 1.5, [0.25, 3.0], xs)
+    for j, b in enumerate([0.25, 3.0]):
+        assert ab[:, j].tobytes() == sf.jacobi_all(L, 1.5, b, xs).tobytes()
+
+
+def test_jacobi_weights_checked():
+    for a, b in [(-0.5, 0.0), (0.0, -1.0), (0.0, [0.0, -1.0]), (0.0, np.nan)]:
+        with pytest.raises(ValueError, match="weight exponents"):
+            sf.jacobi_all(3, a, b, 0.5)
+    with pytest.raises(ValueError, match="1-D"):
+        sf.jacobi_all(3, 0.0, np.ones((2, 2)), 0.5)
+
+
 def test_jacobi_domain_is_strict():
     with pytest.raises(ValueError):
         sf.jacobi_all(3, 0, 0, 1.0 + 1e-9)
@@ -279,6 +308,40 @@ def test_u2_scan_matches_naive_pair_scan():
             worst_unif = max(worst_unif, dh.max() * dim**0.25 / 2.0)
     assert_allclose(report.empirical_constants["lipschitz"], worst_lip, rtol=1e-12)
     assert_allclose(report.empirical_constants["uniform"], worst_unif, rtol=1e-12)
+
+
+def _scan_u2_full_lags(max_degree, grid):
+    """(l, m) -> (lipschitz, uniform) row by the per-frequency recurrence and
+    the full (index, lag) arrays."""
+    d = np.arange(1, grid)
+    dtheta = 2.0 * math.pi * d / grid
+    z = np.array([1.0 / math.sqrt(2.0)], dtype=complex)
+    x = np.clip(2.0 * (z * z.conj()).real - 1.0, -1.0, 1.0)
+    rows = {}
+    for k in range(max_degree + 1):
+        jac = sf.jacobi_all((max_degree - k) // 2, 0.0, float(k), x)[:, 0]
+        for sign in (1, -1) if k else (1,):
+            zk = (z if sign > 0 else np.conj(z)) ** k
+            amp = np.array([abs(complex(h)) for h in zk * jac])
+            dh = (2.0 * amp)[:, None] * np.abs(np.sin(sign * k * dtheta / 2.0))
+            for j, (lip, unif) in enumerate(zip((dh / dtheta).max(axis=1), dh.max(axis=1))):
+                dim = 2 * j + k + 1
+                rows[(j + k, j) if sign > 0 else (j, j + k)] = (
+                    lip / dim**0.75, unif * dim**0.25 / 2.0
+                )
+    return rows
+
+
+@pytest.mark.parametrize(
+    "max_degree, grid", [(1, 100), (2, 128), (5, 100), (12, 128), (40, 512), (41, 333), (80, 512)]
+)
+def test_u2_scan_rows_match_full_lag_rows_bit_for_bit(max_degree, grid):
+    report = sf.hoelder_bound_check("u2", max_degree, grid)
+    want = _scan_u2_full_lags(max_degree, grid)
+    got = {}
+    for row in report.rows:
+        got.setdefault((row["l"], row["m_or_n"]), {})[row["bound_kind"]] = row["empirical_C"]
+    assert {lm: (c["lipschitz"], c["uniform"]) for lm, c in got.items()} == want
 
 
 def test_scan_validation():
